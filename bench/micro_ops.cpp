@@ -12,10 +12,10 @@
 //
 // The `obs` column is the observability ablation (DESIGN.md §14): `off`
 // rows run the default NullOpStats policy (the zero-cost contract —
-// nothing is instrumented), `on` rows run obs::RegistryOpStats, where
-// every mechanism counter bump is a cacheline-striped relaxed increment
-// into the process-wide metrics registry. The on/off delta is the whole
-// enabled-registry overhead, guarded by the committed smoke baseline.
+// nothing is instrumented), `on` rows run CountingOpStats, where every
+// mechanism counter bump is a relaxed increment on a per-thread
+// cacheline-striped cell. The on/off delta is the whole enabled-stats
+// overhead, guarded by the committed smoke baseline.
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
@@ -25,7 +25,6 @@
 #include "benchsupport/reporter.h"
 #include "mem/alloc_policy.h"
 #include "mem/arena.h"
-#include "obs/registry.h"
 #include "util/table.h"
 
 namespace {
@@ -159,13 +158,13 @@ int main(int argc, char** argv) {
     run_rows(table, t, mem::ArenaAlloc::kName, m);
   }
   // Observability ablation: same two lock-free trees on the heap, with
-  // every mechanism counter wired into the process-global registry.
+  // every mechanism counter enabled.
   {
-    PnbBst<long, std::less<long>, EpochReclaimer, obs::RegistryOpStats> t;
+    PnbBst<long, std::less<long>, EpochReclaimer, CountingOpStats> t;
     run_rows(table, t, mem::HeapAlloc::kName, m, "on");
   }
   {
-    NbBst<long, std::less<long>, EpochReclaimer, obs::RegistryOpStats> t;
+    NbBst<long, std::less<long>, EpochReclaimer, CountingOpStats> t;
     run_rows(table, t, mem::HeapAlloc::kName, m, "on");
   }
   rep.emit(table);

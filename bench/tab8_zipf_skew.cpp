@@ -48,19 +48,17 @@ void run_series(Table& table, const BenchConfig& base,
     cfg.zipf_theta = theta;
     Tree tree;
     const RunResult r = bench_structure(tree, WorkloadMix::updates_only(), cfg);
-    const auto& s = tree.stats();
-    const double commits = static_cast<double>(s.commits.load());
+    const OpStatsSnapshot s = tree.stats().snapshot();
+    const double commits = static_cast<double>(s.commits);
     table.add_row(
         {SetAdapter<Tree>::kName, Table::num(theta, 2),
-         Table::num(r.mops(), 3), Table::num(s.attempts.load()),
-         Table::num(s.helps.load()),
-         Table::num(commits > 0
-                        ? static_cast<double>(s.helps.load()) / commits
-                        : 0.0,
+         Table::num(r.mops(), 3), Table::num(s.attempts),
+         Table::num(s.helps),
+         Table::num(commits > 0 ? static_cast<double>(s.helps) / commits
+                                : 0.0,
                     4),
-         Table::num(commits > 0
-                        ? static_cast<double>(s.attempts.load()) / commits
-                        : 0.0,
+         Table::num(commits > 0 ? static_cast<double>(s.attempts) / commits
+                                : 0.0,
                     3),
          Table::num(std::int64_t{0})});
   }

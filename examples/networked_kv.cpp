@@ -3,18 +3,21 @@
 // few Client connections drive point traffic, one bulk-loads through
 // BATCH frames, one watches with RANGE queries; then the open-loop load
 // generator measures the service's SLO latency (p50/p99/p999 from the
-// scheduled send time, coordinated-omission-safe) and STATS reports the
-// server- and map-side gauges — including the shed counters that would
-// light up under retired-bytes overload. The server also exposes the
-// observability plane (DESIGN.md §14): a Prometheus /metrics HTTP
-// listener on an ephemeral port, announced as a METRICS_URL= line that
-// tools/obs_scrape.py --spawn parses to scrape and validate the page.
+// scheduled send time, coordinated-omission-safe) and a METRICS scrape
+// reports the server- and map-side gauges — including the shed counters
+// that would light up under retired-bytes overload. The server also
+// exposes the observability plane (DESIGN.md §14): a Prometheus /metrics
+// HTTP listener on an ephemeral port, announced after the traffic as a
+// METRICS_URL= line that tools/obs_scrape.py --spawn parses to scrape
+// and validate the page while the binary lingers.
 //
 //   build/examples/networked_kv [--events=N] [--conns=N] [--qps=N]
 //                               [--linger-ms=N]
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <inttypes.h>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -52,9 +55,7 @@ int main(int argc, char** argv) {
   // the same per-shard families the server just registered (label
   // selector == the server's port label) and reshards through the
   // loss-free migration path while traffic runs. The sequential bulk
-  // load below lands on the low shards, so a trigger is expected. Built
-  // BEFORE the METRICS_URL announcement so a scraper that fetches the
-  // moment the line appears already sees the pnb_rebalance_* families.
+  // load below lands on the low shards, so a trigger is expected.
   char port_label[32];
   std::snprintf(port_label, sizeof(port_label), "port=\"%u\"",
                 server.port());
@@ -63,10 +64,6 @@ int main(int argc, char** argv) {
   rcfg.interval = std::chrono::milliseconds(100);
   Rebalancer<net::ServerMap> rebalancer(map, rcfg);
   rebalancer.start();
-
-  std::printf("METRICS_URL=http://127.0.0.1:%u/metrics\n",
-              server.metrics_port());
-  std::fflush(stdout);
 
   // Bulk load through the wire: BATCH frames funnel into
   // ingest::apply_batch (deduped, shard-parallel) server-side.
@@ -118,41 +115,47 @@ int main(int argc, char** argv) {
               static_cast<double>(lr.latency_ns.p999()) / 1000.0,
               lr.late_sends);
 
-  // STATS over the wire: server counters plus the map's admission and
+  // METRICS over the wire: the same Prometheus text the HTTP listener
+  // serves. Print the server counters plus the map's admission and
   // lifecycle gauges (sheds would appear as batches_deferred > 0).
-  const auto st = reader.stats();
-  std::printf("stats: ops_served=%" PRIu64 " conns_accepted=%" PRIu64
-              " batch_ops=%" PRIu64 " batches_admitted=%" PRIu64
-              " batches_deferred=%" PRIu64 " batches_shed=%" PRIu64
-              " retired_bytes=%" PRIu64 "\n",
-              st.value_or(net::StatId::kOpsServed, 0),
-              st.value_or(net::StatId::kConnsAccepted, 0),
-              st.value_or(net::StatId::kBatchOpsApplied, 0),
-              st.value_or(net::StatId::kBatchesAdmitted, 0),
-              st.value_or(net::StatId::kBatchesDeferred, 0),
-              st.value_or(net::StatId::kBatchesShed, 0),
-              st.value_or(net::StatId::kRetiredBytes, 0));
-  std::printf("requests: get=%" PRIu64 " put=%" PRIu64 " del=%" PRIu64
-              " batch=%" PRIu64 " range=%" PRIu64 " stats=%" PRIu64
-              " metrics=%" PRIu64 "\n",
-              st.value_or(net::StatId::kReqGet, 0),
-              st.value_or(net::StatId::kReqPut, 0),
-              st.value_or(net::StatId::kReqDel, 0),
-              st.value_or(net::StatId::kReqBatch, 0),
-              st.value_or(net::StatId::kReqRange, 0),
-              st.value_or(net::StatId::kReqStats, 0),
-              st.value_or(net::StatId::kReqMetrics, 0));
-
-  // The binary METRICS opcode serves the same exposition text as the
-  // HTTP listener — print a couple of headline series.
   const auto mr = reader.metrics();
-  if (mr.status == net::Status::kOk) {
-    std::printf("METRICS opcode: %zu bytes of Prometheus text\n",
-                mr.text.size());
+  if (mr.status != net::Status::kOk) return 1;
+  std::printf("METRICS opcode: %zu bytes of Prometheus text\n",
+              mr.text.size());
+  // One sample by exact name and label set; 0 when absent.
+  const auto metric = [&](const char* name, const std::string& labels) {
+    const std::string key = std::string("\n") + name + "{" + labels + "} ";
+    const std::size_t at = mr.text.find(key);
+    return at == std::string::npos
+               ? 0.0
+               : std::strtod(mr.text.c_str() + at + key.size(), nullptr);
+  };
+  const std::string pl = port_label;
+  std::printf("stats: ops_served=%.0f conns_accepted=%.0f batch_ops=%.0f"
+              " batches_admitted=%.0f batches_deferred=%.0f"
+              " batches_shed=%.0f retired_bytes=%.0f\n",
+              metric("pnb_server_ops_served_total", pl),
+              metric("pnb_server_conns_accepted_total", pl),
+              metric("pnb_server_batch_ops_applied_total", pl),
+              metric("pnb_admission_admitted_total", pl),
+              metric("pnb_admission_deferred_total", pl),
+              metric("pnb_admission_shed_total", pl),
+              metric("pnb_lifecycle_retired_bytes", pl));
+  std::printf("requests:");
+  for (const char* op : {"get", "put", "del", "batch", "range", "metrics"}) {
+    std::printf(" %s=%.0f", op,
+                metric("pnb_server_requests_total",
+                       pl + ",op=\"" + op + "\""));
   }
+  std::printf("\n");
 
+  // Announced only now, so a scraper that fetches the moment the line
+  // appears sees a page with traffic on it: sampled op latencies, engine
+  // counters and the pnb_rebalance_* families.
+  std::printf("METRICS_URL=http://127.0.0.1:%u/metrics\n",
+              server.metrics_port());
+  std::fflush(stdout);
   if (linger_ms > 0) {
-    std::fflush(stdout);
     std::this_thread::sleep_for(std::chrono::milliseconds(linger_ms));
   }
   server.stop();

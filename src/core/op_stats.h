@@ -1,35 +1,50 @@
 // Operation statistics policies for the tree templates.
 //
-// NullOpStats compiles to nothing (the default). CountingOpStats uses
-// relaxed atomic counters and powers the handshaking / helping ablation
-// benchmarks (Tab.E5) and several tests. Counters are named after the
-// paper's mechanisms.
+// NullOpStats compiles to nothing (the default). CountingOpStats keeps
+// one per-thread cacheline-striped counter (util/striped_counter.h) per
+// mechanism, so a bump is one relaxed increment on a line its thread
+// owns; snapshot() sums the stripes. It powers the handshaking / helping
+// ablation benchmarks (Tab.E5), the serving map's /metrics engine
+// families and several tests. Counters are named after the paper's
+// mechanisms.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 
 #include "obs/trace.h"
+#include "util/striped_counter.h"
 
 namespace pnbbst {
 
-// Point-in-time copy of every mechanism counter: plain integers so
-// benches and the obs registry can read/diff without sprinkling
-// .load() calls. NullOpStats returns an all-zero snapshot, letting
-// generic reporting code compile against either policy.
+// Point-in-time copy of every mechanism counter, and the only way to
+// read them. NullOpStats returns an all-zero snapshot, letting generic
+// reporting code compile against either policy.
 struct OpStatsSnapshot {
+  // One update-loop iteration (an "attempt" in the paper's terminology).
   std::uint64_t attempts = 0;
+  // Update attempts whose Info object reached Commit.
   std::uint64_t commits = 0;
+  // Attempts aborted by the handshaking check (Counter advanced).
   std::uint64_t handshake_aborts = 0;
+  // Attempts aborted because a later freeze CAS lost a race.
   std::uint64_t freeze_fail_aborts = 0;
+  // ValidateLeaf / ValidateLink failures that forced a retry.
   std::uint64_t validate_fails = 0;
+  // Calls to Help() on someone else's Info object (the helping mechanism).
   std::uint64_t helps = 0;
+  // RangeScan / snapshot traversals started.
   std::uint64_t scans = 0;
+  // Help() calls issued from inside a scan traversal.
   std::uint64_t scan_helps = 0;
+  // Child CAS attempts that failed (another helper already applied it).
   std::uint64_t child_cas_failures = 0;
+  // Allocation counters (used by reclamation accounting tests).
   std::uint64_t nodes_allocated = 0;
   std::uint64_t infos_allocated = 0;
+  // Nodes handed to the reclaimer after a successful unlink / abort
+  // (tab6 pairs the retire side with the allocator's AllocStats gauges).
   std::uint64_t nodes_retired = 0;
+  // Speculative nodes/Infos freed directly (never published to anyone).
   std::uint64_t unpublished_frees = 0;
 };
 
@@ -55,91 +70,71 @@ struct NullOpStats {
 struct CountingOpStats {
   static constexpr bool kEnabled = true;
 
-  // One update-loop iteration (an "attempt" in the paper's terminology).
-  std::atomic<std::uint64_t> attempts{0};
-  // Update attempts whose Info object reached Commit.
-  std::atomic<std::uint64_t> commits{0};
-  // Attempts aborted by the handshaking check (Counter advanced).
-  std::atomic<std::uint64_t> handshake_aborts{0};
-  // Attempts aborted because a later freeze CAS lost a race.
-  std::atomic<std::uint64_t> freeze_fail_aborts{0};
-  // ValidateLeaf / ValidateLink failures that forced a retry.
-  std::atomic<std::uint64_t> validate_fails{0};
-  // Calls to Help() on someone else's Info object (the helping mechanism).
-  std::atomic<std::uint64_t> helps{0};
-  // RangeScan / snapshot traversals started.
-  std::atomic<std::uint64_t> scans{0};
-  // Help() calls issued from inside a scan traversal.
-  std::atomic<std::uint64_t> scan_helps{0};
-  // Child CAS attempts that failed (another helper already applied it).
-  std::atomic<std::uint64_t> child_cas_failures{0};
-  // Allocation counters (used by reclamation accounting tests).
-  std::atomic<std::uint64_t> nodes_allocated{0};
-  std::atomic<std::uint64_t> infos_allocated{0};
-  // Retire-side counters (tab6 pairs them with the allocator's
-  // AllocStats gauges so allocation and reclamation read as one table).
-  // Nodes handed to the reclaimer after a successful unlink / abort.
-  std::atomic<std::uint64_t> nodes_retired{0};
-  // Speculative nodes/Infos freed directly (never published to anyone).
-  std::atomic<std::uint64_t> unpublished_frees{0};
-
-  void inc_attempts() noexcept { bump(attempts); }
-  void inc_commits() noexcept { bump(commits); }
+  void inc_attempts() noexcept { attempts_.inc(); }
+  void inc_commits() noexcept { commits_.inc(); }
   // The paper-mechanism events also feed the obs trace ring (one relaxed
   // load + branch when tracing is disabled, the default).
   void inc_handshake_aborts() noexcept {
-    bump(handshake_aborts);
+    handshake_aborts_.inc();
     obs::trace_event(obs::TraceKind::kHandshakeAbort);
   }
   void inc_freeze_fail_aborts() noexcept {
-    bump(freeze_fail_aborts);
+    freeze_fail_aborts_.inc();
     obs::trace_event(obs::TraceKind::kFreezeFailAbort);
   }
-  void inc_validate_fails() noexcept { bump(validate_fails); }
+  void inc_validate_fails() noexcept { validate_fails_.inc(); }
   void inc_helps() noexcept {
-    bump(helps);
+    helps_.inc();
     obs::trace_event(obs::TraceKind::kHelp, 0);
   }
-  void inc_scans() noexcept { bump(scans); }
+  void inc_scans() noexcept { scans_.inc(); }
   void inc_scan_helps() noexcept {
-    bump(scan_helps);
+    scan_helps_.inc();
     obs::trace_event(obs::TraceKind::kHelp, 1);
   }
-  void inc_child_cas_failures() noexcept { bump(child_cas_failures); }
+  void inc_child_cas_failures() noexcept { child_cas_failures_.inc(); }
   void inc_nodes_allocated(std::uint64_t n = 1) noexcept {
-    nodes_allocated.fetch_add(n, std::memory_order_relaxed);
+    nodes_allocated_.add(n);
   }
-  void inc_infos_allocated() noexcept { bump(infos_allocated); }
-  void inc_nodes_retired() noexcept { bump(nodes_retired); }
+  void inc_infos_allocated() noexcept { infos_allocated_.inc(); }
+  void inc_nodes_retired() noexcept { nodes_retired_.inc(); }
   void inc_unpublished_frees(std::uint64_t n = 1) noexcept {
-    unpublished_frees.fetch_add(n, std::memory_order_relaxed);
+    unpublished_frees_.add(n);
   }
 
+  // Sums every stripe; exact once the counting threads have joined.
   OpStatsSnapshot snapshot() const noexcept {
     OpStatsSnapshot s;
-    s.attempts = attempts.load(std::memory_order_relaxed);
-    s.commits = commits.load(std::memory_order_relaxed);
-    s.handshake_aborts = handshake_aborts.load(std::memory_order_relaxed);
-    s.freeze_fail_aborts =
-        freeze_fail_aborts.load(std::memory_order_relaxed);
-    s.validate_fails = validate_fails.load(std::memory_order_relaxed);
-    s.helps = helps.load(std::memory_order_relaxed);
-    s.scans = scans.load(std::memory_order_relaxed);
-    s.scan_helps = scan_helps.load(std::memory_order_relaxed);
-    s.child_cas_failures =
-        child_cas_failures.load(std::memory_order_relaxed);
-    s.nodes_allocated = nodes_allocated.load(std::memory_order_relaxed);
-    s.infos_allocated = infos_allocated.load(std::memory_order_relaxed);
-    s.nodes_retired = nodes_retired.load(std::memory_order_relaxed);
-    s.unpublished_frees =
-        unpublished_frees.load(std::memory_order_relaxed);
+    s.attempts = attempts_.value();
+    s.commits = commits_.value();
+    s.handshake_aborts = handshake_aborts_.value();
+    s.freeze_fail_aborts = freeze_fail_aborts_.value();
+    s.validate_fails = validate_fails_.value();
+    s.helps = helps_.value();
+    s.scans = scans_.value();
+    s.scan_helps = scan_helps_.value();
+    s.child_cas_failures = child_cas_failures_.value();
+    s.nodes_allocated = nodes_allocated_.value();
+    s.infos_allocated = infos_allocated_.value();
+    s.nodes_retired = nodes_retired_.value();
+    s.unpublished_frees = unpublished_frees_.value();
     return s;
   }
 
  private:
-  static void bump(std::atomic<std::uint64_t>& c) noexcept {
-    c.fetch_add(1, std::memory_order_relaxed);
-  }
+  StripedCounter attempts_;
+  StripedCounter commits_;
+  StripedCounter handshake_aborts_;
+  StripedCounter freeze_fail_aborts_;
+  StripedCounter validate_fails_;
+  StripedCounter helps_;
+  StripedCounter scans_;
+  StripedCounter scan_helps_;
+  StripedCounter child_cas_failures_;
+  StripedCounter nodes_allocated_;
+  StripedCounter infos_allocated_;
+  StripedCounter nodes_retired_;
+  StripedCounter unpublished_frees_;
 };
 
 }  // namespace pnbbst

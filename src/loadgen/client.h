@@ -1,7 +1,7 @@
 // Blocking PNB-KV client connection: the counterpart of src/server/.
 //
 // One Client is one TCP connection with simple request/response
-// round-trip helpers (get/put/del/batch/range/stats) plus the raw
+// round-trip helpers (get/put/del/batch/range/metrics) plus the raw
 // send_bytes/recv_frame surface the load generator uses for pipelined
 // traffic and the robustness tests use to inject malformed bytes. Not
 // thread-safe: one Client per thread, like a socket.
@@ -70,14 +70,6 @@ class Client {
     std::vector<std::pair<std::int64_t, std::int64_t>> pairs;
   };
   RangeReply range(std::int64_t lo, std::int64_t hi, std::uint32_t limit);
-
-  struct StatsReply {
-    Status status = Status::kBadRequest;
-    std::vector<std::pair<std::uint32_t, std::uint64_t>> entries;
-    // First value for `id`, or `fallback` when the server did not send it.
-    std::uint64_t value_or(StatId id, std::uint64_t fallback) const noexcept;
-  };
-  StatsReply stats();
 
   struct MetricsReply {
     Status status = Status::kBadRequest;

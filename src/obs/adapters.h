@@ -20,6 +20,7 @@
 #include <string>
 #include <utility>
 
+#include "core/op_stats.h"
 #include "obs/latency.h"
 #include "obs/registry.h"
 
@@ -34,7 +35,7 @@ inline std::string join_labels(const std::string& base,
 }
 
 // One sample per mechanism counter into the pnb_engine_<mech>_total
-// families (shared with RegistryOpStats, distinguished by labels).
+// families.
 inline void emit_op_snapshot(std::vector<Sample>& out,
                              const std::string& labels,
                              const OpStatsSnapshot& s) {
@@ -86,19 +87,6 @@ inline void declare_engine_families(MetricsRegistry& reg) {
               "Speculative records freed unpublished");
 }
 }  // namespace detail
-
-// CountingOpStats (or any policy with snapshot() -> OpStatsSnapshot).
-template <class Stats>
-void register_op_stats(MetricsRegistry& reg, Registration& handle,
-                       const Stats& stats, std::string labels) {
-  detail::declare_engine_families(reg);
-  reg.add_collector(
-      handle, "pnb_engine_commits_total", MetricType::kCounter,
-      "Update attempts that reached Commit",
-      [&stats, labels = std::move(labels)](std::vector<Sample>& out) {
-        detail::emit_op_snapshot(out, labels, stats.snapshot());
-      });
-}
 
 // mem::ArenaDomain (anything with stats() -> AllocStats-shaped struct).
 template <class Domain>
@@ -274,8 +262,8 @@ void register_sharded_map(MetricsRegistry& reg, Registration& handle,
 }
 
 // Latency plane: per op class, BOTH a Prometheus summary (quantile
-// samples plus _count/_sum; sum reconstructed as mean*count of the merged
-// histogram, bucket-midpoint precision) and a native le-bucketed
+// samples plus _count/_sum; _sum is the merged histogram's exact sum of
+// recorded ns, not a bucket-rounded estimate) and a native le-bucketed
 // histogram family pnb_op_latency_ns_hist on the fixed
 // kLatencyBucketBoundsNs ladder — summaries for cheap single-instance
 // reads, histograms for cross-instance aggregation and PromQL
@@ -310,7 +298,7 @@ void register_latency(MetricsRegistry& reg, Registration& handle,
           out.push_back({"pnb_op_latency_ns_count", base,
                          static_cast<double>(h.count())});
           out.push_back({"pnb_op_latency_ns_sum", base,
-                         h.mean() * static_cast<double>(h.count())});
+                         static_cast<double>(h.sum())});
           for (std::size_t b = 0; b < kLatencyBucketCount; ++b) {
             out.push_back(
                 {"pnb_op_latency_ns_hist_bucket",
@@ -324,7 +312,7 @@ void register_latency(MetricsRegistry& reg, Registration& handle,
           out.push_back({"pnb_op_latency_ns_hist_count", base,
                          static_cast<double>(h.count())});
           out.push_back({"pnb_op_latency_ns_hist_sum", base,
-                         h.mean() * static_cast<double>(h.count())});
+                         static_cast<double>(h.sum())});
         }
       });
   reg.declare("pnb_op_latency_ns_count", MetricType::kCounter,

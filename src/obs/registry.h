@@ -2,19 +2,19 @@
 //
 // The paper's claims are about mechanism behavior under contention —
 // helps, handshake aborts, freeze failures, scan/update interference —
-// but before this layer every gauge family lived in its own corner
+// and each gauge family lives with the subsystem that owns it
 // (CountingOpStats on a tree, AllocStats on an arena, LifetimeManager
-// counters, AdmissionStats, ServerStats) and was read by hand in one
-// bench or the STATS opcode. MetricsRegistry unifies them behind one
-// named, labeled, scrapeable surface:
+// counters, AdmissionStats, ServerStats). MetricsRegistry puts them
+// behind one named, labeled, scrapeable surface:
 //
-//   Counter   registry-owned monotone counter with cacheline-striped
-//             cells (util/cacheline.h): the enabled-mode hot-path cost
-//             is ONE padded relaxed fetch_add on a thread-hashed stripe,
-//             aggregated only at read time.
-//   gauge     a sampled callback — existing gauges (AllocStats,
-//             LifetimeManager, AdmissionStats, ...) register collectors
-//             (obs/adapters.h) instead of duplicating state.
+//   Counter   registry-owned monotone counter over a StripedCounter
+//             (util/striped_counter.h, the same cells CountingOpStats
+//             uses): one padded relaxed increment per bump, summed only
+//             at read time.
+//   gauge     a sampled callback — existing gauges (CountingOpStats
+//             snapshots, AllocStats, LifetimeManager, AdmissionStats,
+//             ...) register collectors (obs/adapters.h) instead of
+//             duplicating state.
 //   snapshot  one call yields every sample in the process;
 //             prometheus_text() renders the standard text exposition
 //             format served by the server's GET /metrics listener and
@@ -22,8 +22,8 @@
 //
 // Overhead contract: the DISABLED mode is the default NullOpStats tree
 // policy — nothing is instrumented and nothing compiles in. Opting a
-// tree in via obs::RegistryOpStats (below) buys the striped-counter
-// increments; the micro_ops obs on/off ablation column guards the cost.
+// tree in via CountingOpStats buys the striped-counter increments; the
+// micro_ops obs on/off ablation column guards the cost.
 //
 // Registration is mutex-guarded and meant for setup paths; hot paths
 // hold the stable Counter& and never look anything up. Collectors are
@@ -34,7 +34,6 @@
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -44,47 +43,12 @@
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <utility>
 #include <vector>
 
-#include "core/op_stats.h"
-#include "obs/trace.h"
-#include "util/cacheline.h"
+#include "util/striped_counter.h"
 
 namespace pnbbst::obs {
-
-// Monotone counter with per-thread-hashed cacheline-striped cells: no two
-// stripes share a line, so concurrent increments from different threads
-// do not bounce a cacheline; value() sums the stripes at read time.
-class StripedCounter {
- public:
-  static constexpr std::size_t kStripes = 16;
-
-  void add(std::uint64_t n) noexcept {
-    cells_[this_thread_stripe()].value.fetch_add(n,
-                                                 std::memory_order_relaxed);
-  }
-  void inc() noexcept { add(1); }
-
-  std::uint64_t value() const noexcept {
-    std::uint64_t total = 0;
-    for (const auto& c : cells_) {
-      total += c.value.load(std::memory_order_relaxed);
-    }
-    return total;
-  }
-
- private:
-  static std::size_t this_thread_stripe() noexcept {
-    // Same idiom as ArenaDomain::this_thread_shard: hash once per thread.
-    static thread_local const std::size_t stripe =
-        std::hash<std::thread::id>{}(std::this_thread::get_id()) % kStripes;
-    return stripe;
-  }
-
-  CachePadded<std::atomic<std::uint64_t>> cells_[kStripes];
-};
 
 // Prometheus metric families. Latency data is exported BOTH as a summary
 // (pre-computed quantile labels) and as a native le-bucketed histogram
@@ -363,113 +327,5 @@ inline void Registration::reset() noexcept {
   registry_ = nullptr;
   ids_.clear();
 }
-
-// Opt-in tree stats policy: the CountingOpStats surface, but each bump
-// lands in a PROCESS-WIDE named registry counter (striped cells — one
-// padded relaxed increment, the enabled-mode overhead contract). All
-// trees instantiated with this policy share the same family, labeled
-// engine="pnb"; the default NullOpStats remains the zero-cost mode.
-struct RegistryOpStats {
-  static constexpr bool kEnabled = true;
-
-  RegistryOpStats()
-      : attempts_(&engine_counter("attempts",
-                                  "Update-loop iterations (attempts)")),
-        commits_(&engine_counter("commits",
-                                 "Update attempts that reached Commit")),
-        handshake_aborts_(&engine_counter(
-            "handshake_aborts", "Attempts aborted by the handshaking check")),
-        freeze_fail_aborts_(&engine_counter(
-            "freeze_fail_aborts", "Attempts aborted by a lost freeze CAS")),
-        validate_fails_(&engine_counter(
-            "validate_fails", "Validate failures that forced a retry")),
-        helps_(&engine_counter("helps", "Help() calls on foreign Infos")),
-        scans_(&engine_counter("scans", "RangeScan/snapshot traversals")),
-        scan_helps_(&engine_counter("scan_helps",
-                                    "Help() calls from scan traversals")),
-        child_cas_failures_(&engine_counter(
-            "child_cas_failures", "Child CAS attempts another helper won")),
-        nodes_allocated_(&engine_counter("nodes_allocated",
-                                         "Tree nodes allocated")),
-        infos_allocated_(&engine_counter("infos_allocated",
-                                         "Info records allocated")),
-        nodes_retired_(&engine_counter("nodes_retired",
-                                       "Nodes handed to the reclaimer")),
-        unpublished_frees_(&engine_counter(
-            "unpublished_frees", "Speculative records freed unpublished")) {}
-
-  void inc_attempts() noexcept { attempts_->inc(); }
-  void inc_commits() noexcept { commits_->inc(); }
-  void inc_handshake_aborts() noexcept {
-    handshake_aborts_->inc();
-    trace_event(TraceKind::kHandshakeAbort);
-  }
-  void inc_freeze_fail_aborts() noexcept {
-    freeze_fail_aborts_->inc();
-    trace_event(TraceKind::kFreezeFailAbort);
-  }
-  void inc_validate_fails() noexcept { validate_fails_->inc(); }
-  void inc_helps() noexcept {
-    helps_->inc();
-    trace_event(TraceKind::kHelp, 0);
-  }
-  void inc_scans() noexcept { scans_->inc(); }
-  void inc_scan_helps() noexcept {
-    scan_helps_->inc();
-    trace_event(TraceKind::kHelp, 1);
-  }
-  void inc_child_cas_failures() noexcept { child_cas_failures_->inc(); }
-  void inc_nodes_allocated(std::uint64_t n = 1) noexcept {
-    nodes_allocated_->add(n);
-  }
-  void inc_infos_allocated() noexcept { infos_allocated_->inc(); }
-  void inc_nodes_retired() noexcept { nodes_retired_->inc(); }
-  void inc_unpublished_frees(std::uint64_t n = 1) noexcept {
-    unpublished_frees_->add(n);
-  }
-
-  // NOTE: RegistryOpStats counters are process-global (shared by every
-  // tree using the policy), so this snapshot is of the family, not of
-  // one container. Same shape as CountingOpStats::snapshot() so generic
-  // reporting code compiles against either.
-  OpStatsSnapshot snapshot() const noexcept {
-    OpStatsSnapshot s;
-    s.attempts = attempts_->value();
-    s.commits = commits_->value();
-    s.handshake_aborts = handshake_aborts_->value();
-    s.freeze_fail_aborts = freeze_fail_aborts_->value();
-    s.validate_fails = validate_fails_->value();
-    s.helps = helps_->value();
-    s.scans = scans_->value();
-    s.scan_helps = scan_helps_->value();
-    s.child_cas_failures = child_cas_failures_->value();
-    s.nodes_allocated = nodes_allocated_->value();
-    s.infos_allocated = infos_allocated_->value();
-    s.nodes_retired = nodes_retired_->value();
-    s.unpublished_frees = unpublished_frees_->value();
-    return s;
-  }
-
- private:
-  static Counter& engine_counter(const char* mech, const char* help) {
-    return MetricsRegistry::global().counter(
-        std::string("pnb_engine_") + mech + "_total", help,
-        "engine=\"registry\"");
-  }
-
-  Counter* attempts_;
-  Counter* commits_;
-  Counter* handshake_aborts_;
-  Counter* freeze_fail_aborts_;
-  Counter* validate_fails_;
-  Counter* helps_;
-  Counter* scans_;
-  Counter* scan_helps_;
-  Counter* child_cas_failures_;
-  Counter* nodes_allocated_;
-  Counter* infos_allocated_;
-  Counter* nodes_retired_;
-  Counter* unpublished_frees_;
-};
 
 }  // namespace pnbbst::obs

@@ -201,7 +201,6 @@ ServerStats Server::stats() const noexcept {
   s.req_del = req(Opcode::kDel);
   s.req_batch = req(Opcode::kBatch);
   s.req_range = req(Opcode::kRange);
-  s.req_stats = req(Opcode::kStats);
   s.req_metrics = req(Opcode::kMetrics);
   return s;
 }
@@ -323,8 +322,7 @@ void Server::register_gauges() {
         const std::pair<const char*, std::uint64_t> reqs[] = {
             {"get", s.req_get},     {"put", s.req_put},
             {"del", s.req_del},     {"batch", s.req_batch},
-            {"range", s.req_range}, {"stats", s.req_stats},
-            {"metrics", s.req_metrics},
+            {"range", s.req_range}, {"metrics", s.req_metrics},
         };
         for (const auto& [op, v] : reqs) {
           out.push_back({"pnb_server_requests_total",
@@ -353,21 +351,21 @@ void Server::register_gauges() {
   obs::register_sharded_map(reg, obs_reg_, map_, port_label);
 
   // Process-lifetime subjects register exactly once (idempotent across
-  // serial server instances; the subjects are immortal, so the leaked
-  // Registration is intentional — there is never a reason to unwire).
-  static const bool process_wide = [&reg] {
-    auto* keep = new obs::Registration();
-    obs::register_arena(reg, *keep, mem::ArenaDomain::shared(),
+  // serial server instances). The subjects and the registry are
+  // immortal, so the Registration is only released at static
+  // destruction — never while a server could scrape them.
+  static const obs::Registration process_wide = [&reg] {
+    obs::Registration keep;
+    obs::register_arena(reg, keep, mem::ArenaDomain::shared(),
                         "domain=\"shared\"");
     for (std::size_t i = 0; i < mem::ArenaDomain::kPooledDomains; ++i) {
       char dbuf[32];
       std::snprintf(dbuf, sizeof(dbuf), "domain=\"pooled%zu\"", i);
-      obs::register_arena(reg, *keep, mem::ArenaDomain::pooled(i), dbuf);
+      obs::register_arena(reg, keep, mem::ArenaDomain::pooled(i), dbuf);
     }
-    obs::register_latency(reg, *keep, obs::LatencyPlane::global(), "");
-    return true;
+    obs::register_latency(reg, keep, obs::LatencyPlane::global(), "");
+    return keep;
   }();
-  (void)process_wide;
 }
 
 void Server::loop_main(Loop& loop) {
@@ -633,42 +631,6 @@ void Server::handle_frame(Conn& c, const std::vector<std::uint8_t>& body) {
       }
       c.out.end_frame(at);
       lat.finish(obs::OpClass::kScan, t0);
-      return;
-    }
-    case Opcode::kStats: {
-      if (!req.done()) break;
-      const ServerStats ss = stats();
-      const ingest::AdmissionStats as = map_.admission_stats();
-      const std::pair<StatId, std::uint64_t> entries[] = {
-          {StatId::kOpsServed, ss.ops_served},
-          {StatId::kConnsAccepted, ss.conns_accepted},
-          {StatId::kConnsOpen, ss.conns_open},
-          {StatId::kBatchOpsApplied, ss.batch_ops_applied},
-          {StatId::kBatchesAdmitted, as.admitted},
-          {StatId::kBatchesDeferred, as.deferred},
-          {StatId::kBatchesBlocked, as.blocked},
-          {StatId::kBatchesTimedOut, as.timed_out},
-          {StatId::kShedResponses, ss.shed_responses},
-          {StatId::kRangeQueries, ss.range_queries},
-          {StatId::kRetiredBytes, map_.retired_bytes()},
-          {StatId::kRetiredMaps, map_.retired_maps()},
-          {StatId::kActiveLeases, map_.lifetime().active_leases()},
-          {StatId::kBatchesShed, as.shed()},
-          {StatId::kReqGet, ss.req_get},
-          {StatId::kReqPut, ss.req_put},
-          {StatId::kReqDel, ss.req_del},
-          {StatId::kReqBatch, ss.req_batch},
-          {StatId::kReqRange, ss.req_range},
-          {StatId::kReqStats, ss.req_stats},
-          {StatId::kReqMetrics, ss.req_metrics},
-      };
-      w.u8(static_cast<std::uint8_t>(Status::kOk));
-      w.u32(static_cast<std::uint32_t>(std::size(entries)));
-      for (const auto& [id, value] : entries) {
-        w.u32(static_cast<std::uint32_t>(id));
-        w.u64(value);
-      }
-      c.out.end_frame(at);
       return;
     }
     case Opcode::kMetrics: {

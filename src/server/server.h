@@ -87,7 +87,8 @@ struct ServerConfig {
   std::uint32_t latency_sample_every = 64;
 };
 
-// Monotone server-side counters (relaxed atomics; STATS reads them).
+// Monotone server-side counters (relaxed atomics; the /metrics
+// collector and benchmarks read them).
 struct ServerStats {
   std::uint64_t ops_served = 0;
   std::uint64_t conns_accepted = 0;
@@ -97,13 +98,12 @@ struct ServerStats {
   std::uint64_t range_queries = 0;
   std::uint64_t bad_frames = 0;
   // Frames decoded per opcode, whatever the outcome (indexable by the
-  // Opcode value via req(); kReqGet..kReqMetrics on the wire).
+  // Opcode value via req(); pnb_server_requests_total{op=...}).
   std::uint64_t req_get = 0;
   std::uint64_t req_put = 0;
   std::uint64_t req_del = 0;
   std::uint64_t req_batch = 0;
   std::uint64_t req_range = 0;
-  std::uint64_t req_stats = 0;
   std::uint64_t req_metrics = 0;
 };
 

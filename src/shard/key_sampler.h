@@ -6,7 +6,7 @@
 // every key through KeySampler::maybe_record, which is one relaxed atomic
 // load plus a thread-local countdown decrement when sampling is enabled,
 // and a single early return when it is off — the same zero-cost-when-off
-// shape as the op-latency plane (src/obs/latency.h) and RegistryOpStats.
+// shape as the op-latency plane (src/obs/latency.h).
 //
 // Sampled keys go into a fixed power-of-two ring overwritten oldest-first,
 // i.e. a recency-weighted reservoir: after a workload shift the ring drains

@@ -903,8 +903,8 @@ class ShardedPnbMap {
 
   // Monotone admission-outcome gauges, aggregated across every apply_batch
   // since construction (BatchResult::deferred is per-call; these are the
-  // per-container source of truth for shed-rate reporting — the network
-  // layer's STATS command reads them). Lock-free relaxed reads: the
+  // per-container source of truth for shed-rate reporting — the
+  // pnb_admission_* /metrics families read them). Lock-free relaxed reads: the
   // counters are independent, so a snapshot taken under load may be
   // mid-update by one batch, which is fine for gauges.
   ingest::AdmissionStats admission_stats() const noexcept {

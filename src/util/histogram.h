@@ -3,10 +3,12 @@
 // Buckets are HdrHistogram-style: 64 major (power-of-two) groups with
 // kSubBuckets linear sub-buckets each, giving ~1.6% relative error across
 // the full 64-bit nanosecond range with a fixed, allocation-free footprint.
-// Recording is wait-free per thread; merge() combines per-thread histograms.
+// Recording is wait-free per thread; merge() combines per-thread
+// histograms, and may read a histogram whose one writer is still
+// recording (obs/latency.h merges live per-thread histograms this way).
 #pragma once
 
-#include <array>
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -27,24 +29,32 @@ class Histogram {
   Histogram() : counts_(kBuckets, 0) {}
 
   void record(std::uint64_t value) noexcept {
-    ++counts_[index_for(value)];
-    ++total_;
-    if (value > max_seen_) max_seen_ = value;
-    sum_ += value;
+    bump(counts_[index_for(value)], 1);
+    bump(total_, 1);
+    if (value > load(max_seen_)) store(max_seen_, value);
+    bump(sum_, value);
   }
 
+  // Folds `other` in. Reads `other` through relaxed atomics, so it may
+  // be merged while its single writer keeps recording (the result then
+  // lags that writer by the in-flight records).
   void merge(const Histogram& other) noexcept {
-    for (std::size_t i = 0; i < kBuckets; ++i) counts_[i] += other.counts_[i];
-    total_ += other.total_;
-    sum_ += other.sum_;
-    if (other.max_seen_ > max_seen_) max_seen_ = other.max_seen_;
+    for (std::size_t i = 0; i < kBuckets; ++i) {
+      bump(counts_[i], load(other.counts_[i]));
+    }
+    bump(total_, load(other.total_));
+    bump(sum_, load(other.sum_));
+    const std::uint64_t other_max = load(other.max_seen_);
+    if (other_max > load(max_seen_)) store(max_seen_, other_max);
   }
 
-  std::uint64_t count() const noexcept { return total_; }
-  std::uint64_t max() const noexcept { return max_seen_; }
+  std::uint64_t count() const noexcept { return load(total_); }
+  std::uint64_t max() const noexcept { return load(max_seen_); }
+  // Exact sum of every recorded value (not bucket-rounded).
+  std::uint64_t sum() const noexcept { return load(sum_); }
   double mean() const noexcept {
-    return total_ ? static_cast<double>(sum_) / static_cast<double>(total_)
-                  : 0.0;
+    const std::uint64_t n = count();
+    return n ? static_cast<double>(sum()) / static_cast<double>(n) : 0.0;
   }
 
   // Value at quantile q in [0,1]; returns the representative (midpoint)
@@ -59,7 +69,7 @@ class Histogram {
   std::uint64_t count_le(std::uint64_t v) const noexcept {
     const std::size_t last = index_for(v);
     std::uint64_t n = 0;
-    for (std::size_t i = 0; i <= last; ++i) n += counts_[i];
+    for (std::size_t i = 0; i <= last; ++i) n += load(counts_[i]);
     return n;
   }
 
@@ -69,10 +79,10 @@ class Histogram {
   std::uint64_t p999() const noexcept { return quantile(0.999); }
 
   void reset() noexcept {
-    std::fill(counts_.begin(), counts_.end(), 0);
-    total_ = 0;
-    sum_ = 0;
-    max_seen_ = 0;
+    for (std::uint64_t& c : counts_) store(c, 0);
+    store(total_, 0);
+    store(sum_, 0);
+    store(max_seen_, 0);
   }
 
   // Human-readable one-line summary (ns assumed).
@@ -101,6 +111,21 @@ class Histogram {
   }
 
  private:
+  // Every counter is accessed through a relaxed atomic_ref: one writer
+  // (record/merge/reset) plus any number of concurrent readers is
+  // race-free, and with a single writer an increment needs no locked
+  // read-modify-write — on x86-64 it is a plain load, add and store.
+  static std::uint64_t load(const std::uint64_t& c) noexcept {
+    return std::atomic_ref<std::uint64_t>(const_cast<std::uint64_t&>(c))
+        .load(std::memory_order_relaxed);
+  }
+  static void store(std::uint64_t& c, std::uint64_t v) noexcept {
+    std::atomic_ref<std::uint64_t>(c).store(v, std::memory_order_relaxed);
+  }
+  static void bump(std::uint64_t& c, std::uint64_t n) noexcept {
+    store(c, load(c) + n);
+  }
+
   std::vector<std::uint64_t> counts_;
   std::uint64_t total_ = 0;
   std::uint64_t sum_ = 0;

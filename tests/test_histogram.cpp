@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+
 #include "util/random.h"
 
 namespace pnbbst {
@@ -126,6 +129,42 @@ TEST(Histogram, CountLeIsCumulativeAndMonotone) {
     EXPECT_GE(c, prev) << "le=" << le;
     prev = c;
   }
+}
+
+// One writer records while another thread repeatedly merges the live
+// histogram into fresh ones (the latency plane's scrape pattern): race-
+// free under TSan, and once the writer joins the merge is exact.
+TEST(Histogram, MergeWhileRecordingIsExactAfterJoin) {
+  Histogram live;
+  static constexpr std::uint64_t kValues = 50000;
+  std::atomic<bool> done{false};
+  std::thread reader([&live, &done] {
+    std::uint64_t last = 0;
+    while (!done.load(std::memory_order_acquire)) {
+      Histogram snap;
+      snap.merge(live);
+      EXPECT_LE(snap.count(), kValues);
+      EXPECT_GE(snap.count(), last);  // one writer: counts only grow
+      last = snap.count();
+    }
+  });
+  std::uint64_t sum = 0;
+  std::uint64_t max = 0;
+  Xoshiro256 rng(11);
+  for (std::uint64_t i = 0; i < kValues; ++i) {
+    const std::uint64_t v = rng.next() >> (20 + i % 40);  // sum < 2^60
+    live.record(v);
+    sum += v;
+    if (v > max) max = v;
+  }
+  done.store(true, std::memory_order_release);
+  reader.join();
+  Histogram merged;
+  merged.merge(live);
+  EXPECT_EQ(merged.count(), kValues);
+  EXPECT_EQ(merged.sum(), sum);
+  EXPECT_EQ(merged.max(), max);
+  EXPECT_EQ(merged.p99(), live.p99());
 }
 
 }  // namespace

@@ -156,8 +156,9 @@ TEST(NbBst, StatsCounting) {
   NbBst<long, std::less<long>, EpochReclaimer, CountingOpStats> t;
   for (long k = 0; k < 20; ++k) t.insert(k);
   for (long k = 0; k < 20; ++k) t.erase(k);
-  EXPECT_EQ(t.stats().commits.load(), 40u);
-  EXPECT_GE(t.stats().attempts.load(), 40u);
+  const OpStatsSnapshot s = t.stats().snapshot();
+  EXPECT_EQ(s.commits, 40u);
+  EXPECT_GE(s.attempts, 40u);
 }
 
 }  // namespace

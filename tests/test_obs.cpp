@@ -1,12 +1,12 @@
-// Observability plane (src/obs/, DESIGN.md §14): striped-counter
-// exactness under threads, registry find-or-create identity and RAII
-// unregistration, Prometheus text shape, the AtomicHistogram-vs-plain
-// Histogram merge differential, latency-plane sampling accounting, and
-// the mechanism-trace ring (wrap + per-thread ordering + Chrome JSON).
+// Observability plane (src/obs/, DESIGN.md §14): striped-counter and
+// CountingOpStats exactness under threads, registry find-or-create
+// identity and RAII unregistration, Prometheus text shape, latency-plane
+// sampling accounting, and the mechanism-trace ring (wrap + per-thread
+// ordering + Chrome JSON).
 //
-// The LatencyPlane/MechanismTrace/RegistryOpStats subjects are process
-// globals shared with other tests in this binary, so those cases assert
-// on DELTAS, never absolute values; registry-shape cases use private
+// The LatencyPlane/MechanismTrace subjects are process globals shared
+// with other tests in this binary, so those cases assert on DELTAS,
+// never absolute values; registry-shape cases use private
 // MetricsRegistry instances.
 #include "obs/registry.h"
 
@@ -30,12 +30,13 @@
 #include "shard/sharded_map.h"
 #include "util/histogram.h"
 #include "util/random.h"
+#include "util/striped_counter.h"
 
 namespace pnbbst {
 namespace {
 
 TEST(StripedCounter, ThreadedExactness) {
-  obs::StripedCounter c;
+  StripedCounter c;
   constexpr unsigned kThreads = 8;
   constexpr std::uint64_t kPer = 100000;
   std::vector<std::thread> threads;
@@ -49,7 +50,7 @@ TEST(StripedCounter, ThreadedExactness) {
 }
 
 TEST(StripedCounter, AddAccumulates) {
-  obs::StripedCounter c;
+  StripedCounter c;
   c.add(40);
   c.inc();
   c.inc();
@@ -128,46 +129,6 @@ TEST(MetricsRegistry, LargeIntegralValuesStayExact) {
   EXPECT_NE(text.find("big_total 1234567890123\n"), std::string::npos);
 }
 
-// Differential: folding an AtomicHistogram into a plain Histogram must
-// reproduce the plain histogram built from the same stream — identical
-// bucket geometry means identical counts and quantiles.
-TEST(AtomicHistogram, MergeMatchesPlainHistogram) {
-  obs::AtomicHistogram atomic;
-  Histogram plain;
-  Xoshiro256 rng(7);
-  for (int i = 0; i < 50000; ++i) {
-    const std::uint64_t v = rng.next() >> (i % 48);
-    atomic.record(v);
-    // The plain reference records the bucket representative, exactly as
-    // merge_into replays it, so the comparison isolates the merge path.
-    plain.record(Histogram::value_for(Histogram::index_for(v)));
-  }
-  Histogram merged;
-  atomic.merge_into(merged);
-  EXPECT_EQ(merged.count(), plain.count());
-  EXPECT_EQ(merged.p50(), plain.p50());
-  EXPECT_EQ(merged.p90(), plain.p90());
-  EXPECT_EQ(merged.p99(), plain.p99());
-  EXPECT_EQ(merged.p999(), plain.p999());
-  EXPECT_EQ(atomic.count(), 50000u);
-}
-
-TEST(AtomicHistogram, ConcurrentRecordersSumExactly) {
-  obs::AtomicHistogram h;
-  constexpr unsigned kThreads = 4;
-  constexpr std::uint64_t kPer = 20000;
-  std::vector<std::thread> threads;
-  for (unsigned t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&h, t] {
-      for (std::uint64_t i = 0; i < kPer; ++i) h.record(t * 1000 + i);
-    });
-  }
-  for (auto& th : threads) th.join();
-  Histogram out;
-  h.merge_into(out);
-  EXPECT_EQ(out.count(), kThreads * kPer);
-}
-
 TEST(LatencyPlane, SampleEveryNAccounting) {
   auto& plane = obs::LatencyPlane::global();
   plane.set_sample_every(1);  // sample every op on this thread
@@ -238,25 +199,36 @@ TEST(MechanismTrace, ChromeJsonShape) {
   EXPECT_EQ(json.back(), '}');
 }
 
-// A tree instantiated with the RegistryOpStats policy bumps the shared
-// pnb_engine_* family in the process registry.
-TEST(RegistryOpStats, TreeOpsBumpRegistryCounters) {
-  using Tree =
-      PnbBst<long, std::less<long>, EpochReclaimer, obs::RegistryOpStats>;
+// Striped op stats are exact once the counting threads join: every
+// update that returned true committed exactly once, and every commit
+// took at least one attempt.
+TEST(CountingOpStats, ConcurrentUpdatesCountExactly) {
+  using Tree = PnbBst<long, std::less<long>, EpochReclaimer,
+                      CountingOpStats>;
   Tree tree;
-  const OpStatsSnapshot before = tree.stats().snapshot();
-  for (long k = 0; k < 200; ++k) tree.insert(k);
-  for (long k = 0; k < 200; k += 2) tree.erase(k);
-  for (long k = 0; k < 200; ++k) tree.contains(k);
-  const OpStatsSnapshot after = tree.stats().snapshot();
-  EXPECT_GE(after.attempts - before.attempts, 300u);
-  EXPECT_GE(after.commits - before.commits, 300u);
-  EXPECT_GE(after.nodes_allocated - before.nodes_allocated, 200u);
-  // The same counters are visible through the global exposition text.
-  const std::string text =
-      obs::MetricsRegistry::global().prometheus_text();
-  EXPECT_NE(text.find("pnb_engine_commits_total{engine=\"registry\"}"),
-            std::string::npos);
+  constexpr long kThreads = 4;
+  constexpr long kPerThread = 2000;
+  std::atomic<std::uint64_t> succeeded{0};
+  std::vector<std::thread> threads;
+  for (long t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&tree, &succeeded, t] {
+      Xoshiro256 rng(static_cast<std::uint64_t>(t) + 1);
+      std::uint64_t mine = 0;
+      const long base = t * kPerThread;
+      for (int i = 0; i < 4 * kPerThread; ++i) {
+        const long k =
+            base + static_cast<long>(rng.next_bounded(kPerThread));
+        const bool changed = (rng.next() & 1) != 0 ? tree.insert(k)
+                                                    : tree.erase(k);
+        if (changed) ++mine;
+      }
+      succeeded.fetch_add(mine, std::memory_order_relaxed);
+    });
+  }
+  for (auto& th : threads) th.join();
+  const OpStatsSnapshot s = tree.stats().snapshot();
+  EXPECT_EQ(s.commits, succeeded.load());
+  EXPECT_GE(s.attempts, s.commits);
 }
 
 // The sharded-map adapter fans out per-shard gauges and aggregates the
@@ -321,12 +293,16 @@ TEST(Adapters, LatencyHistogramExpositionShape) {
 
   double count = -1.0;
   double hist_count = -1.0;
+  double sum = -1.0;
+  double hist_sum = -1.0;
   double inf = -1.0;
   std::vector<std::pair<double, double>> buckets;  // (le, cumulative)
   for (const auto& s : reg.snapshot()) {
     if (s.labels.find("op=\"insert\"") == std::string::npos) continue;
     if (s.name == "pnb_op_latency_ns_count") count = s.value;
     if (s.name == "pnb_op_latency_ns_hist_count") hist_count = s.value;
+    if (s.name == "pnb_op_latency_ns_sum") sum = s.value;
+    if (s.name == "pnb_op_latency_ns_hist_sum") hist_sum = s.value;
     if (s.name == "pnb_op_latency_ns_hist_bucket") {
       const auto pos = s.labels.find("le=\"");
       ASSERT_NE(pos, std::string::npos) << s.labels;
@@ -344,6 +320,12 @@ TEST(Adapters, LatencyHistogramExpositionShape) {
   ASSERT_GE(count, 200.0);
   EXPECT_DOUBLE_EQ(hist_count, count);
   EXPECT_DOUBLE_EQ(inf, count);
+  // Both sums are the merged histogram's exact sum, not a bucket
+  // estimate.
+  EXPECT_DOUBLE_EQ(sum, hist_sum);
+  EXPECT_DOUBLE_EQ(
+      sum,
+      static_cast<double>(plane.merged(obs::OpClass::kInsert).sum()));
   ASSERT_EQ(buckets.size(), obs::kLatencyBucketCount);
   std::sort(buckets.begin(), buckets.end());
   for (std::size_t i = 1; i < buckets.size(); ++i) {

@@ -170,10 +170,10 @@ TEST(PnbSequential, StatsCountCommits) {
   PnbBst<long, std::less<long>, EpochReclaimer, CountingOpStats> t;
   for (long k = 0; k < 10; ++k) t.insert(k);
   for (long k = 0; k < 5; ++k) t.erase(k);
-  EXPECT_EQ(t.stats().commits.load(), 15u);
-  EXPECT_GE(t.stats().attempts.load(), 15u);
+  EXPECT_EQ(t.stats().snapshot().commits, 15u);
+  EXPECT_GE(t.stats().snapshot().attempts, 15u);
   t.insert(5);  // duplicate: no commit
-  EXPECT_EQ(t.stats().commits.load(), 15u);
+  EXPECT_EQ(t.stats().snapshot().commits, 15u);
 }
 
 TEST(PnbSequential, RangeCountMatchesScan) {

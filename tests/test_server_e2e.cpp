@@ -5,7 +5,7 @@
 // so every CI job (gcc/clang Release, ASan+UBSan, TSan) runs the full
 // socket path.
 //
-// Covers the whole op surface (GET/PUT/DEL/BATCH/RANGE/STATS),
+// Covers the whole op surface (GET/PUT/DEL/BATCH/RANGE/METRICS),
 // pipelining, malformed/garbage/oversized input (answer kBadRequest,
 // then disconnect — never crash), and the overload-shedding contract:
 // with retired bytes pinned over the watermark, BATCH bounces with
@@ -161,6 +161,8 @@ TEST_F(ServerE2E, RangePairCapBoundsResponses) {
   EXPECT_EQ(rr.pairs.size(), 10u);
 }
 
+// The server counters and the map's admission and lifecycle gauges: the
+// sources the /metrics collectors read.
 TEST_F(ServerE2E, StatsReportServerAndMapGauges) {
   start();
   Client c = connect();
@@ -168,19 +170,16 @@ TEST_F(ServerE2E, StatsReportServerAndMapGauges) {
   ASSERT_EQ(c.range(0, 100, 0).status, Status::kOk);
   ASSERT_EQ(c.batch({BatchEntry::insert(2, 2)}).status, Status::kOk);
 
-  auto sr = c.stats();
-  ASSERT_EQ(sr.status, Status::kOk);
-  EXPECT_GE(sr.value_or(StatId::kOpsServed, 0), 3u);
-  EXPECT_GE(sr.value_or(StatId::kConnsAccepted, 0), 1u);
-  EXPECT_GE(sr.value_or(StatId::kConnsOpen, 0), 1u);
-  EXPECT_EQ(sr.value_or(StatId::kBatchOpsApplied, 0), 1u);
-  EXPECT_EQ(sr.value_or(StatId::kBatchesAdmitted, 99), 1u);
-  EXPECT_EQ(sr.value_or(StatId::kBatchesDeferred, 99), 0u);
-  EXPECT_EQ(sr.value_or(StatId::kShedResponses, 99), 0u);
-  EXPECT_EQ(sr.value_or(StatId::kRangeQueries, 0), 1u);
-  EXPECT_EQ(sr.value_or(StatId::kRetiredBytes, 99), 0u);
-  // Unknown ids fall back (forward-compat contract).
-  EXPECT_EQ(sr.value_or(static_cast<StatId>(0xFFFF), 1234), 1234u);
+  const ServerStats ss = server_->stats();
+  EXPECT_GE(ss.ops_served, 3u);
+  EXPECT_GE(ss.conns_accepted, 1u);
+  EXPECT_GE(ss.conns_open, 1u);
+  EXPECT_EQ(ss.batch_ops_applied, 1u);
+  EXPECT_EQ(map_.admission_stats().admitted, 1u);
+  EXPECT_EQ(map_.admission_stats().deferred, 0u);
+  EXPECT_EQ(ss.shed_responses, 0u);
+  EXPECT_EQ(ss.range_queries, 1u);
+  EXPECT_EQ(map_.retired_bytes(), 0u);
 }
 
 TEST_F(ServerE2E, StatsReportPerOpcodeRequestCounters) {
@@ -193,17 +192,19 @@ TEST_F(ServerE2E, StatsReportPerOpcodeRequestCounters) {
   ASSERT_EQ(c.batch({BatchEntry::insert(3, 3)}).status, Status::kOk);
   ASSERT_EQ(c.range(0, 100, 0).status, Status::kOk);
 
-  auto sr = c.stats();
-  ASSERT_EQ(sr.status, Status::kOk);
-  EXPECT_EQ(sr.value_or(StatId::kReqGet, 99), 2u);
-  EXPECT_EQ(sr.value_or(StatId::kReqPut, 99), 1u);
-  EXPECT_EQ(sr.value_or(StatId::kReqDel, 99), 1u);
-  EXPECT_EQ(sr.value_or(StatId::kReqBatch, 99), 1u);
-  EXPECT_EQ(sr.value_or(StatId::kReqRange, 99), 1u);
-  // The STATS request that carried this reply counts itself.
-  EXPECT_EQ(sr.value_or(StatId::kReqStats, 99), 1u);
-  EXPECT_EQ(sr.value_or(StatId::kReqMetrics, 99), 0u);
-  EXPECT_EQ(sr.value_or(StatId::kBatchesShed, 99), 0u);
+  ServerStats ss = server_->stats();
+  EXPECT_EQ(ss.req_get, 2u);
+  EXPECT_EQ(ss.req_put, 1u);
+  EXPECT_EQ(ss.req_del, 1u);
+  EXPECT_EQ(ss.req_batch, 1u);
+  EXPECT_EQ(ss.req_range, 1u);
+  EXPECT_EQ(ss.req_metrics, 0u);
+  EXPECT_EQ(map_.admission_stats().shed(), 0u);
+  // The METRICS request is counted before its reply is built.
+  ASSERT_EQ(c.metrics().status, Status::kOk);
+  ss = server_->stats();
+  EXPECT_EQ(ss.req_metrics, 1u);
+  EXPECT_EQ(ss.req_get, 2u);
 }
 
 TEST_F(ServerE2E, MetricsOpcodeServesPrometheusText) {
@@ -269,8 +270,7 @@ TEST_F(ServerE2E, HttpMetricsListenerServesScrape) {
     EXPECT_NE(page.find(family), std::string::npos) << family;
   }
   // The scrape itself is counted.
-  auto sr = c.stats();
-  EXPECT_GE(sr.value_or(StatId::kReqMetrics, 0), 1u);
+  EXPECT_GE(server_->stats().req_metrics, 1u);
 
   // Non-/metrics paths 404 without disturbing the server.
   Client other;
@@ -351,16 +351,22 @@ TEST_F(ServerE2E, MalformedPayloadAnswersBadRequestThenCloses) {
   EXPECT_GE(server_->stats().bad_frames, 1u);
 }
 
+// 0x06 is the retired STATS opcode: it must stay an unknown opcode.
 TEST_F(ServerE2E, UnknownOpcodeAnswersBadRequestThenCloses) {
   start();
-  Client c = connect();
-  std::vector<std::uint8_t> wire;
-  append_frame(wire, {0x77, 0x01, 0x02});
-  ASSERT_TRUE(c.send_bytes(wire.data(), wire.size()));
-  std::vector<std::uint8_t> resp;
-  ASSERT_TRUE(c.recv_frame(resp));
-  EXPECT_EQ(resp[0], static_cast<std::uint8_t>(Status::kBadRequest));
-  EXPECT_FALSE(c.recv_frame(resp));
+  for (const std::vector<std::uint8_t>& body :
+       {std::vector<std::uint8_t>{0x77, 0x01, 0x02},
+        std::vector<std::uint8_t>{0x06}}) {
+    Client c = connect();
+    std::vector<std::uint8_t> wire;
+    append_frame(wire, body);
+    ASSERT_TRUE(c.send_bytes(wire.data(), wire.size()));
+    std::vector<std::uint8_t> resp;
+    ASSERT_TRUE(c.recv_frame(resp));
+    EXPECT_EQ(resp[0], static_cast<std::uint8_t>(Status::kBadRequest));
+    EXPECT_FALSE(c.recv_frame(resp));
+  }
+  EXPECT_EQ(server_->stats().bad_frames, 2u);
 }
 
 TEST_F(ServerE2E, OversizedFramePrefixDisconnects) {
@@ -426,14 +432,10 @@ TEST_F(ServerE2E, ShedsBatchesWithRetryWhileReadsKeepFlowing) {
   EXPECT_EQ(c.put(6000, 6).status, Status::kOk);
   EXPECT_EQ(c.get(6000).value, 6);
 
-  // The shed shows up on every gauge surface: server stats, STATS
-  // frames, and the map's admission counters (satellite: admission
-  // outcome gauges).
+  // The shed shows up on both gauge surfaces the /metrics collectors
+  // read: server stats and the map's admission counters (satellite:
+  // admission outcome gauges).
   EXPECT_GE(server_->stats().shed_responses, 1u);
-  auto sr = c.stats();
-  EXPECT_GE(sr.value_or(StatId::kShedResponses, 0), 1u);
-  EXPECT_GE(sr.value_or(StatId::kBatchesDeferred, 0), 1u);
-  EXPECT_GT(sr.value_or(StatId::kRetiredBytes, 0), 1u);
   EXPECT_EQ(map_.admission_stats().deferred, 1u);
   EXPECT_EQ(map_.admission_stats().shed(), 1u);
 
