@@ -116,8 +116,8 @@ int main(int argc, char** argv) {
               lr.late_sends);
 
   // METRICS over the wire: the same Prometheus text the HTTP listener
-  // serves. Print the server counters plus the map's admission and
-  // lifecycle gauges (sheds would appear as batches_deferred > 0).
+  // serves. Print the server counters plus the map's lifecycle gauge
+  // (BATCH frames the server shed would appear as batches_shed > 0).
   const auto mr = reader.metrics();
   if (mr.status != net::Status::kOk) return 1;
   std::printf("METRICS opcode: %zu bytes of Prometheus text\n",
@@ -132,14 +132,11 @@ int main(int argc, char** argv) {
   };
   const std::string pl = port_label;
   std::printf("stats: ops_served=%.0f conns_accepted=%.0f batch_ops=%.0f"
-              " batches_admitted=%.0f batches_deferred=%.0f"
               " batches_shed=%.0f retired_bytes=%.0f\n",
               metric("pnb_server_ops_served_total", pl),
               metric("pnb_server_conns_accepted_total", pl),
               metric("pnb_server_batch_ops_applied_total", pl),
-              metric("pnb_admission_admitted_total", pl),
-              metric("pnb_admission_deferred_total", pl),
-              metric("pnb_admission_shed_total", pl),
+              metric("pnb_server_shed_responses_total", pl),
               metric("pnb_lifecycle_retired_bytes", pl));
   std::printf("requests:");
   for (const char* op : {"get", "put", "del", "batch", "range", "metrics"}) {

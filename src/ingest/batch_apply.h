@@ -85,20 +85,13 @@ struct BatchResult {
   std::size_t applied = 0;   // ops issued after keep-last dedup
   std::size_t inserted = 0;  // inserts that added a key
   std::size_t erased = 0;    // erases that removed a key
-  // Ops NOT applied because admission control backpressured the batch
-  // (retired-generation memory above the watermark — ingest/admission.h).
-  // A deferred batch left the structure untouched; retry it once the
-  // retired-bytes gauge falls.
-  std::size_t deferred = 0;
 
   std::size_t changed() const noexcept { return inserted + erased; }
-  bool admitted() const noexcept { return deferred == 0; }
 
   BatchResult& operator+=(const BatchResult& o) noexcept {
     applied += o.applied;
     inserted += o.inserted;
     erased += o.erased;
-    deferred += o.deferred;
     return *this;
   }
 };

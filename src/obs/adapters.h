@@ -1,6 +1,6 @@
 // Registry adapters: register every existing gauge family
-// (CountingOpStats, mem::AllocStats, LifetimeManager, AdmissionStats,
-// per-shard op/size gauges on ShardedPnbMap, ServerStats) as collector
+// (CountingOpStats, mem::AllocStats, LifetimeManager, per-shard op/size
+// gauges on ShardedPnbMap, ServerStats) as collector
 // callbacks on a MetricsRegistry, so one snapshot()/prometheus_text()
 // call yields the whole system state.
 //
@@ -147,36 +147,6 @@ void register_lifetime(MetricsRegistry& reg, Registration& handle,
               "Current lifecycle generation");
 }
 
-// Anything with admission_stats() -> ingest::AdmissionStats.
-template <class Map>
-void register_admission(MetricsRegistry& reg, Registration& handle,
-                        const Map& map, std::string labels) {
-  reg.add_collector(
-      handle, "pnb_admission_admitted_total", MetricType::kCounter,
-      "Batches admitted (no-wait + after-wait)",
-      [&map, labels = std::move(labels)](std::vector<Sample>& out) {
-        const auto s = map.admission_stats();
-        out.push_back({"pnb_admission_admitted_total", labels,
-                       static_cast<double>(s.admitted)});
-        out.push_back({"pnb_admission_blocked_total", labels,
-                       static_cast<double>(s.blocked)});
-        out.push_back({"pnb_admission_deferred_total", labels,
-                       static_cast<double>(s.deferred)});
-        out.push_back({"pnb_admission_timed_out_total", labels,
-                       static_cast<double>(s.timed_out)});
-        out.push_back({"pnb_admission_shed_total", labels,
-                       static_cast<double>(s.shed())});
-      });
-  reg.declare("pnb_admission_blocked_total", MetricType::kCounter,
-              "kBlock waits entered");
-  reg.declare("pnb_admission_deferred_total", MetricType::kCounter,
-              "Batches deferred (kDefer shed)");
-  reg.declare("pnb_admission_timed_out_total", MetricType::kCounter,
-              "kBlock waits that timed out");
-  reg.declare("pnb_admission_shed_total", MetricType::kCounter,
-              "Batches shed (deferred + timed out)");
-}
-
 // ShardedPnbMap: per-shard size gauges, plus per-shard mechanism
 // counters when the map's stats policy is enabled. Size sampling takes
 // a per-shard snapshot (O(n) walk) at every scrape — fine for a scrape
@@ -258,7 +228,6 @@ void register_sharded_map(MetricsRegistry& reg, Registration& handle,
                 "Scan traversals per shard");
   }
   register_lifetime(reg, handle, map.lifetime(), labels);
-  register_admission(reg, handle, map, labels);
 }
 
 // Latency plane: per op class, BOTH a Prometheus summary (quantile

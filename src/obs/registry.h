@@ -4,17 +4,16 @@
 // helps, handshake aborts, freeze failures, scan/update interference —
 // and each gauge family lives with the subsystem that owns it
 // (CountingOpStats on a tree, AllocStats on an arena, LifetimeManager
-// counters, AdmissionStats, ServerStats). MetricsRegistry puts them
-// behind one named, labeled, scrapeable surface:
+// counters, ServerStats). MetricsRegistry puts them behind one named,
+// labeled, scrapeable surface:
 //
 //   Counter   registry-owned monotone counter over a StripedCounter
 //             (util/striped_counter.h, the same cells CountingOpStats
 //             uses): one padded relaxed increment per bump, summed only
 //             at read time.
 //   gauge     a sampled callback — existing gauges (CountingOpStats
-//             snapshots, AllocStats, LifetimeManager, AdmissionStats,
-//             ...) register collectors (obs/adapters.h) instead of
-//             duplicating state.
+//             snapshots, AllocStats, LifetimeManager, ...) register
+//             collectors (obs/adapters.h) instead of duplicating state.
 //   snapshot  one call yields every sample in the process;
 //             prometheus_text() renders the standard text exposition
 //             format served by the server's GET /metrics listener and

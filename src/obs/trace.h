@@ -35,10 +35,11 @@ enum class TraceKind : std::uint8_t {
   kFreezeFailAbort = 0,  // lost a freeze CAS; arg = attempt ordinal
   kHelp = 1,             // helped a foreign Info; arg = 0 normal, 1 scan
   kHandshakeAbort = 2,   // handshaking check forced an abort
-  kReshardCutover = 3,   // routing-table generation swap; arg = new gen
+  kReshardCutover = 3,   // routing-table generation swap; arg = generation
+                         // being retired
   kLeaseOpen = 4,        // snapshot lease acquired; arg = generation
   kLeaseClose = 5,       // snapshot lease released; arg = generation
-  kAdmissionShed = 6,    // batch deferred/timed out; arg = retired bytes
+  kAdmissionShed = 6,    // server shed a BATCH; arg = retired bytes
   kRebalanceTrigger = 7,  // adaptive reshard fired; arg = skew per-mille
   kCount
 };

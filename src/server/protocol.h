@@ -34,10 +34,11 @@
 // slot, ignored — fixed-stride entries keep the decoder trivial).
 //
 // Error statuses:
-//   kRetry       BATCH bounced by admission control (overload shedding).
-//                The structure is untouched; payload u64 deferred_ops.
-//                Clients back off and retry — this is the protocol-level
-//                surface of the retired-bytes watermark (DESIGN.md §13).
+//   kRetry       BATCH shed by the server (overload shedding). The
+//                structure is untouched; payload u64 deferred_ops, the
+//                frame's op count. Clients back off and retry — this is
+//                the protocol-level surface of ServerConfig::shed_watermark
+//                (DESIGN.md §13).
 //   kBadRequest  malformed body or unknown opcode. The server answers
 //                with this status (empty payload) and then CLOSES the
 //                connection: after a framing-level parse failure the
@@ -75,7 +76,7 @@ enum class Opcode : std::uint8_t {
 enum class Status : std::uint8_t {
   kOk = 0,
   kNotFound = 1,
-  kRetry = 2,       // admission control shed the batch; retry later
+  kRetry = 2,       // the server shed the batch; retry later
   kBadRequest = 3,  // malformed frame; the server closes after sending
 };
 

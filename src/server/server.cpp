@@ -17,13 +17,13 @@
 #include <unordered_map>
 #include <utility>
 
-#include "ingest/admission.h"
 #include "ingest/batch_apply.h"
 #include "ingest/options.h"
 #include "lifecycle/lifetime_manager.h"
 #include "mem/arena.h"
 #include "obs/adapters.h"
 #include "obs/latency.h"
+#include "obs/trace.h"
 
 namespace pnbbst::net {
 
@@ -98,16 +98,6 @@ bool Server::start() {
                     &blen) == 0) {
     bound_port_ = ntohs(bound.sin_port);
   }
-
-  // Overload shedding contract: the loops must never block inside
-  // admission, so the serving map's policy is forced to kDefer — a batch
-  // over the watermark bounces out of apply_batch and the client sees a
-  // protocol-level kRetry. The watermark itself stays the caller's
-  // unless the config overrides it.
-  ingest::AdmissionConfig adm = map_.admission();
-  if (cfg_.shed_watermark) adm.retired_bytes_watermark = *cfg_.shed_watermark;
-  adm.policy = ingest::AdmissionConfig::OverLimit::kDefer;
-  map_.set_admission(adm);
 
   const unsigned nloops = cfg_.loops == 0 ? 1 : cfg_.loops;
   for (unsigned i = 0; i < nloops; ++i) {
@@ -345,7 +335,7 @@ void Server::register_gauges() {
   reg.declare("pnb_server_requests_total", obs::MetricType::kCounter,
               "Frames decoded per opcode");
 
-  // The serving map: per-shard op/size gauges, lifecycle, admission —
+  // The serving map: per-shard op/size gauges, lifecycle —
   // plus the aggregate engine family (CountingOpStats is enabled on
   // ServerMap precisely so these exist on the serving path).
   obs::register_sharded_map(reg, obs_reg_, map_, port_label);
@@ -576,17 +566,23 @@ void Server::handle_frame(Conn& c, const std::vector<std::uint8_t>& body) {
                                 : ServerMap::batch_op::erase(key));
       }
       if (bad || !req.done()) break;
+      // Overload shed, after validation so a malformed frame is still a
+      // kBadRequest: while snapshot leases hold more retired-generation
+      // bytes than the watermark, bounce the whole batch untouched and
+      // let the client retry. Point ops are never shed.
+      if (cfg_.shed_watermark) {
+        const std::size_t retired = map_.retired_bytes();
+        if (retired > *cfg_.shed_watermark) {
+          shed_responses_.fetch_add(1, std::memory_order_relaxed);
+          obs::trace_event(obs::TraceKind::kAdmissionShed, retired);
+          w.u8(static_cast<std::uint8_t>(Status::kRetry));
+          w.u64(n);
+          c.out.end_frame(at);
+          return;
+        }
+      }
       const ingest::BatchResult r = map_.apply_batch(
           std::move(ops), ingest::IngestOptions(cfg_.scan_threads, executor_));
-      if (!r.admitted()) {
-        // Overload shed: retired-bytes watermark exceeded, batch bounced
-        // untouched (kDefer policy installed at start()).
-        shed_responses_.fetch_add(1, std::memory_order_relaxed);
-        w.u8(static_cast<std::uint8_t>(Status::kRetry));
-        w.u64(r.deferred);
-        c.out.end_frame(at);
-        return;
-      }
       batch_ops_applied_.fetch_add(r.applied, std::memory_order_relaxed);
       w.u8(static_cast<std::uint8_t>(Status::kOk));
       w.u64(r.applied);

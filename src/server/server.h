@@ -17,11 +17,10 @@
 //     ScanExecutor (scan_threads wide), so one loop thread drives
 //     multi-core scans without stalling siblings.
 //   * Nothing on a loop thread blocks: sockets are non-blocking, and
-//     the server forces the map's admission policy to kDefer at start —
-//     a batch arriving over the retired-bytes watermark is bounced
-//     inside apply_batch and surfaces as a protocol-level kRetry
-//     response (overload shedding) instead of parking the loop in
-//     wait_retired_bytes_below.
+//     the map's ingest paths never wait. Overload shedding is the
+//     server's own check: a valid BATCH arriving while the map's
+//     retired_bytes() exceeds ServerConfig::shed_watermark is answered
+//     kRetry untouched, before apply_batch runs.
 //
 // Write coalescing: all responses produced by one read burst accumulate
 // in the connection's WriteBuffer and leave in single write() calls;
@@ -73,9 +72,9 @@ struct ServerConfig {
   // Hard cap on pairs in one RANGE response regardless of the client's
   // limit field (bounds response frames and server-side materialization).
   std::uint32_t range_pair_cap = 60000;
-  // When set, installed as the map's retired-bytes shed watermark at
-  // start(). Policy is forced to kDefer either way (the event loop must
-  // never block in admission).
+  // When set, a BATCH arriving while map.retired_bytes() is above this
+  // many bytes is shed with kRetry (nothing applied). nullopt = never
+  // shed. The one overload-shedding knob.
   std::optional<std::size_t> shed_watermark;
   // When set, start() also binds a plain-HTTP listener on this port
   // (0 = ephemeral; read via metrics_port()) answering GET /metrics

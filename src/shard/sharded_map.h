@@ -67,13 +67,13 @@
 //   * reshard() and rebuild_shard() serialize against each other on an
 //     internal mutex; they never block readers.
 //
-// Ingest admission control (src/ingest/admission.h)
-// -------------------------------------------------
-// apply_batch consults the container's AdmissionConfig: when
-// retired_bytes() exceeds the configured watermark (snapshot leases are
-// holding too many retired generations alive), the batch blocks until
-// reclamation catches up or returns with BatchResult::deferred set.
-// Point operations are never throttled.
+// Retired-generation debt
+// -----------------------
+// retired_bytes() reports how much retired-generation memory snapshot
+// leases still hold alive. The map never throttles on it: every ingest
+// path, apply_batch included, stays non-blocking. Overload shedding is
+// the caller's policy (net::Server sheds BATCH frames above
+// ServerConfig::shed_watermark).
 //
 // Cross-shard consistency contract
 // --------------------------------
@@ -105,7 +105,6 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -117,13 +116,13 @@
 
 #include "core/concepts.h"
 #include "core/pnb_map.h"
-#include "ingest/admission.h"
 #include "ingest/batch_apply.h"
 #include "lifecycle/lifetime_manager.h"
 #include "obs/trace.h"
 #include "scan/parallel_scan.h"
 #include "shard/key_sampler.h"
 #include "util/backoff.h"
+#include "util/cacheline.h"
 #include "util/random.h"
 
 namespace pnbbst {
@@ -399,8 +398,8 @@ class ShardedPnbMap {
   // batch skewed onto few shards still fans out within them while the
   // executor width bounds total parallelism. Duplicate keys keep the LAST
   // pair. Same single-writer precondition as PnbMap::bulk_load, for the
-  // whole instance: fresh, empty, still-private (hence no migration or
-  // admission machinery on this path).
+  // whole instance: fresh, empty, still-private (hence no migration
+  // machinery on this path).
   std::size_t bulk_load(std::vector<bulk_item> items,
                         const ingest::IngestOptions& opts = {}) {
     const Table* table = table_.load(std::memory_order_acquire);
@@ -425,29 +424,14 @@ class ShardedPnbMap {
   // still parallelize within their shards). Per-op linearizability is per
   // shard, exactly as for single ops; the batch as a whole is not atomic.
   //
-  // Interactions with this PR's lifecycle machinery:
-  //   * ADMISSION — if retired-generation memory exceeds the configured
-  //     watermark (set_admission), the batch blocks until reclamation
-  //     catches up or returns untouched with `deferred = ops.size()`.
-  //   * MIGRATION — shard batches racing a reshard are recorded in the
-  //     write-intent ledger exactly like single ops, so they are NOT lost;
-  //     a shard batch that loses its table to a cutover re-routes itself
-  //     under the new splitter and retries.
+  // Migration: shard batches racing a reshard are recorded in the
+  // write-intent ledger exactly like single ops, so they are NOT lost; a
+  // shard batch that loses its table to a cutover re-routes itself under
+  // the new splitter and retries.
   ingest::BatchResult apply_batch(std::vector<batch_op> ops,
                                   const ingest::IngestOptions& opts = {}) {
     ingest::BatchResult total;
     if (ops.empty()) return total;
-    const ingest::AdmissionOutcome adm = ingest::admit_batch_outcome(
-        admission(),
-        [this] { return lifetime_.retired_bytes(); },
-        [this](std::size_t limit, std::chrono::milliseconds timeout) {
-          return lifetime_.wait_retired_bytes_below(limit, timeout);
-        });
-    record_admission(adm);
-    if (!ingest::admitted(adm)) {
-      total.deferred = ops.size();
-      return total;
-    }
     // Normalize up front so the ledger records exactly the ops that get
     // applied (one op per key, last wins); the per-shard re-normalization
     // inside Map::apply_batch is then a cheap no-op re-sort.
@@ -870,7 +854,7 @@ class ShardedPnbMap {
   }
 
   // Snapshot-lease lifecycle registry for this container (active_leases,
-  // current_generation, wait_retired_bytes_below, ...).
+  // current_generation, ...).
   lifecycle::LifetimeManager<R>& lifetime() noexcept { return lifetime_; }
   const lifecycle::LifetimeManager<R>& lifetime() const noexcept {
     return lifetime_;
@@ -887,33 +871,6 @@ class ShardedPnbMap {
     requires std::is_integral_v<K>
   {
     key_sampler_.store(sampler, std::memory_order_release);
-  }
-
-  // Admission-control policy consulted by apply_batch (ingest/admission.h).
-  // Safe to call while batches are in flight: the config is guarded by a
-  // small mutex and each apply_batch snapshots it once on entry.
-  void set_admission(const ingest::AdmissionConfig& cfg) {
-    std::lock_guard<std::mutex> lock(admission_mutex_);
-    admission_ = cfg;
-  }
-  ingest::AdmissionConfig admission() const {
-    std::lock_guard<std::mutex> lock(admission_mutex_);
-    return admission_;
-  }
-
-  // Monotone admission-outcome gauges, aggregated across every apply_batch
-  // since construction (BatchResult::deferred is per-call; these are the
-  // per-container source of truth for shed-rate reporting — the
-  // pnb_admission_* /metrics families read them). Lock-free relaxed reads: the
-  // counters are independent, so a snapshot taken under load may be
-  // mid-update by one batch, which is fine for gauges.
-  ingest::AdmissionStats admission_stats() const noexcept {
-    ingest::AdmissionStats s;
-    s.admitted = adm_admitted_.load(std::memory_order_relaxed);
-    s.blocked = adm_blocked_.load(std::memory_order_relaxed);
-    s.deferred = adm_deferred_.load(std::memory_order_relaxed);
-    s.timed_out = adm_timed_out_.load(std::memory_order_relaxed);
-    return s;
   }
 
  private:
@@ -1031,9 +988,7 @@ class ShardedPnbMap {
 
   // Write-path sampling hook: one relaxed load when no sampler is attached
   // (the common case), compiled out entirely for non-integral keys. Called
-  // BEFORE admission/routing so sampled keys reflect offered load, not just
-  // admitted load — the rebalancer wants to know where pressure is, and a
-  // shed write is still pressure.
+  // BEFORE routing so sampled keys reflect offered load.
   void sample_key(const K& k) noexcept {
     if constexpr (std::is_integral_v<K>) {
       if (KeySampler<K>* ks = key_sampler_.load(std::memory_order_acquire)) {
@@ -1162,7 +1117,7 @@ class ShardedPnbMap {
     delete static_cast<MigrationState*>(p);
   }
 
-  // Footprint estimate of a retired shard map for the admission gauge: a
+  // Footprint estimate of a retired shard map for retired_bytes(): a
   // leaf-oriented tree with n entries holds ~n leaves and ~n internals.
   static std::size_t map_bytes_estimate(std::size_t entries) {
     return sizeof(Shard) +
@@ -1225,42 +1180,12 @@ class ShardedPnbMap {
     return out;
   }
 
-  void record_admission(ingest::AdmissionOutcome o) noexcept {
-    using ingest::AdmissionOutcome;
-    switch (o) {
-      case AdmissionOutcome::kAdmitted:
-        adm_admitted_.fetch_add(1, std::memory_order_relaxed);
-        break;
-      case AdmissionOutcome::kAdmittedAfterWait:
-        adm_admitted_.fetch_add(1, std::memory_order_relaxed);
-        adm_blocked_.fetch_add(1, std::memory_order_relaxed);
-        break;
-      case AdmissionOutcome::kDeferred:
-        adm_deferred_.fetch_add(1, std::memory_order_relaxed);
-        obs::trace_event(obs::TraceKind::kAdmissionShed,
-                         lifetime_.retired_bytes());
-        break;
-      case AdmissionOutcome::kTimedOut:
-        adm_blocked_.fetch_add(1, std::memory_order_relaxed);
-        adm_timed_out_.fetch_add(1, std::memory_order_relaxed);
-        obs::trace_event(obs::TraceKind::kAdmissionShed,
-                         lifetime_.retired_bytes());
-        break;
-    }
-  }
-
   R* reclaimer_;
   lifecycle::LifetimeManager<R> lifetime_;
-  // Guarded by admission_mutex_ (runtime-tunable from any thread).
-  ingest::AdmissionConfig admission_{};
-  mutable std::mutex admission_mutex_;
-  // Admission-outcome gauges (admission_stats()); relaxed monotone counters.
-  std::atomic<std::uint64_t> adm_admitted_{0};
-  std::atomic<std::uint64_t> adm_blocked_{0};
-  std::atomic<std::uint64_t> adm_deferred_{0};
-  std::atomic<std::uint64_t> adm_timed_out_{0};
+  // The two pointers every operation loads start a fresh cache line, so
+  // the lease counters every snapshot bumps in lifetime_ never share it.
   // Optional write-path key sampler (set_key_sampler); null = sampling off.
-  std::atomic<KeySampler<K>*> key_sampler_{nullptr};
+  alignas(kCacheLine) std::atomic<KeySampler<K>*> key_sampler_{nullptr};
   std::atomic<const Table*> table_{nullptr};
   static void accumulate_stats(OpStatsSnapshot& into,
                                const OpStatsSnapshot& from) noexcept {

@@ -1,20 +1,19 @@
 // Snapshot-lease lifecycle (src/lifecycle/lifetime_manager.h): generation
 // retirement gated by leases, ordered oldest-first draining, gauges,
-// force-purge, automatic reclamation through the whole sharded stack, and
-// ingest admission control (defer + block policies).
+// force-purge, and automatic reclamation through the whole sharded stack.
+// (Overload shedding on the retired-bytes gauge is the server's and is
+// covered in test_server_e2e.cpp.)
 #include "lifecycle/lifetime_manager.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "core/pnb_bst.h"
 #include "core/pnb_map.h"
-#include "ingest/admission.h"
 #include "reclaim/epoch.h"
 #include "shard/sharded_map.h"
 
@@ -280,106 +279,6 @@ TEST(Lifecycle, TreeSnapshotsCarryLeases) {
     EXPECT_EQ(pmap.lifetime().active_leases(), 1u);
   }
   EXPECT_EQ(pmap.lifetime().active_leases(), 0u);
-}
-
-// --- Admission control -----------------------------------------------------
-
-TEST(Lifecycle, BatchAdmissionDefersAboveWatermark) {
-  using Op = ingest::BatchOp<long, long>;
-  ShardedPnbMap<long, long, 4, RangeSplitter<long>> map(
-      RangeSplitter<long>{0, 1000});
-  for (long k = 0; k < 1000; ++k) map.insert(k, k);
-
-  ingest::AdmissionConfig cfg;
-  cfg.retired_bytes_watermark = 1;  // tiny: any retired generation trips it
-  cfg.policy = ingest::AdmissionConfig::OverLimit::kDefer;
-  map.set_admission(cfg);
-
-  // Below the watermark: admitted as usual.
-  std::vector<Op> ops;
-  ops.push_back(Op::insert(2000, 1));
-  auto r = map.apply_batch(std::move(ops));
-  EXPECT_TRUE(r.admitted());
-  EXPECT_EQ(r.inserted, 1u);
-  EXPECT_TRUE(map.erase(2000));
-
-  // A held snapshot pins the reshard's retired generation over the mark.
-  auto snap = map.snapshot();
-  map.reshard(RangeSplitter<long>{0, 4000});
-  ASSERT_GT(map.retired_bytes(), cfg.retired_bytes_watermark);
-  const std::size_t debt = map.retired_bytes();
-
-  std::vector<Op> deferred_ops;
-  for (long k = 0; k < 64; ++k) deferred_ops.push_back(Op::insert(5000 + k, k));
-  r = map.apply_batch(std::move(deferred_ops));
-  EXPECT_FALSE(r.admitted());
-  EXPECT_EQ(r.deferred, 64u);
-  EXPECT_EQ(r.applied, 0u);
-  EXPECT_EQ(r.changed(), 0u);
-  // Deferral left the structure AND the debt untouched (gauge bounded).
-  EXPECT_EQ(map.retired_bytes(), debt);
-  EXPECT_FALSE(map.contains(5000));
-
-  // Reclamation (snapshot drop) reopens admission.
-  { auto drop = std::move(snap); }
-  EXPECT_EQ(map.retired_bytes(), 0u);
-  std::vector<Op> retry_ops;
-  for (long k = 0; k < 64; ++k) retry_ops.push_back(Op::insert(5000 + k, k));
-  r = map.apply_batch(std::move(retry_ops));
-  EXPECT_TRUE(r.admitted());
-  EXPECT_EQ(r.inserted, 64u);
-}
-
-TEST(Lifecycle, BatchAdmissionBlocksUntilReclamationCatchesUp) {
-  using Op = ingest::BatchOp<long, long>;
-  ShardedPnbMap<long, long, 2, RangeSplitter<long>> map(
-      RangeSplitter<long>{0, 100});
-  for (long k = 0; k < 100; ++k) map.insert(k, k);
-
-  ingest::AdmissionConfig cfg;
-  cfg.retired_bytes_watermark = 1;
-  cfg.policy = ingest::AdmissionConfig::OverLimit::kBlock;
-  cfg.block_timeout = std::chrono::milliseconds(5000);
-  map.set_admission(cfg);
-
-  auto snap = map.snapshot();
-  map.reshard(RangeSplitter<long>{0, 200});
-  ASSERT_GT(map.retired_bytes(), 1u);
-
-  // Release the pinning snapshot shortly after the batch starts blocking.
-  std::thread releaser([&snap] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    auto drop = std::move(snap);
-  });
-  std::vector<Op> ops;
-  ops.push_back(Op::insert(500, 1));
-  const auto r = map.apply_batch(std::move(ops));
-  releaser.join();
-  EXPECT_TRUE(r.admitted()) << "block policy should ride out the debt";
-  EXPECT_EQ(r.inserted, 1u);
-  EXPECT_EQ(map.retired_bytes(), 0u);
-}
-
-TEST(Lifecycle, BlockPolicyTimesOutIntoDeferral) {
-  using Op = ingest::BatchOp<long, long>;
-  ShardedPnbMap<long, long, 2, RangeSplitter<long>> map(
-      RangeSplitter<long>{0, 100});
-  map.insert(1, 1);
-  ingest::AdmissionConfig cfg;
-  cfg.retired_bytes_watermark = 1;
-  cfg.policy = ingest::AdmissionConfig::OverLimit::kBlock;
-  cfg.block_timeout = std::chrono::milliseconds(20);
-  map.set_admission(cfg);
-
-  auto snap = map.snapshot();
-  map.reshard(RangeSplitter<long>{0, 300});
-  ASSERT_GT(map.retired_bytes(), 1u);
-  std::vector<Op> ops;
-  ops.push_back(Op::insert(7, 7));
-  const auto r = map.apply_batch(std::move(ops));
-  EXPECT_FALSE(r.admitted());
-  EXPECT_EQ(r.deferred, 1u);
-  EXPECT_FALSE(map.contains(7));
 }
 
 }  // namespace

@@ -2,7 +2,7 @@
 // CountingOpStats exactness under threads, registry find-or-create
 // identity and RAII unregistration, Prometheus text shape, latency-plane
 // sampling accounting, and the mechanism-trace ring (wrap + per-thread
-// ordering + Chrome JSON).
+// ordering + Chrome JSON + the args of reshard and shed events).
 //
 // The LatencyPlane/MechanismTrace subjects are process globals shared
 // with other tests in this binary, so those cases assert on DELTAS,
@@ -27,6 +27,8 @@
 #include "obs/latency.h"
 #include "obs/trace.h"
 #include "core/pnb_bst.h"
+#include "loadgen/client.h"
+#include "server/server.h"
 #include "shard/sharded_map.h"
 #include "util/histogram.h"
 #include "util/random.h"
@@ -199,6 +201,65 @@ TEST(MechanismTrace, ChromeJsonShape) {
   EXPECT_EQ(json.back(), '}');
 }
 
+// Events of `kind` recorded by threads that first recorded after
+// `tids_before` was read (the rings of earlier tests are skipped).
+std::vector<obs::MechanismTrace::Event> events_since(
+    std::size_t tids_before, obs::TraceKind kind) {
+  std::vector<obs::MechanismTrace::Event> out;
+  for (const auto& e : obs::MechanismTrace::global().dump()) {
+    if (e.tid >= tids_before && e.kind == kind) out.push_back(e);
+  }
+  return out;
+}
+
+// The cutover event carries the generation the reshard retires, the
+// same number the lease_close events that gate its reclamation carry.
+TEST(MechanismTrace, ReshardCutoverArgIsRetiredGeneration) {
+  ShardedPnbMap<long, long, 4, RangeSplitter<long>> map(
+      RangeSplitter<long>{0, 1024});
+  for (long k = 0; k < 100; ++k) map.insert(k, k);
+  auto& trace = obs::MechanismTrace::global();
+  const std::size_t tids_before = trace.thread_count();
+  trace.set_enabled(true);
+  std::uint64_t retired_gen = 0;
+  std::thread resharder([&map, &retired_gen] {
+    retired_gen = map.lifetime().current_generation();
+    map.reshard(RangeSplitter<long>{0, 2048});
+  });
+  resharder.join();
+  trace.set_enabled(false);
+  const auto cutovers =
+      events_since(tids_before, obs::TraceKind::kReshardCutover);
+  ASSERT_EQ(cutovers.size(), 1u);
+  EXPECT_EQ(cutovers[0].arg, retired_gen);
+  EXPECT_GT(map.lifetime().current_generation(), retired_gen);
+}
+
+TEST(MechanismTrace, ServerShedArgIsRetiredBytes) {
+  net::ServerMap map{RangeSplitter<std::int64_t>{0, 1 << 16}};
+  map.insert(1, 1);
+  net::ServerConfig cfg;
+  cfg.shed_watermark = 1;
+  net::Server server(map, cfg);
+  ASSERT_TRUE(server.start());
+  auto snap = map.snapshot();  // pins the reshard's retired generation
+  map.reshard(RangeSplitter<std::int64_t>{0, 1 << 17});
+  ASSERT_GT(map.retired_bytes(), 1u);
+
+  auto& trace = obs::MechanismTrace::global();
+  const std::size_t tids_before = trace.thread_count();
+  trace.set_enabled(true);
+  net::Client c;
+  ASSERT_TRUE(c.connect("127.0.0.1", server.port()));
+  EXPECT_EQ(c.batch({net::BatchEntry::insert(2, 2)}).status,
+            net::Status::kRetry);
+  trace.set_enabled(false);
+  const auto sheds = events_since(tids_before, obs::TraceKind::kAdmissionShed);
+  ASSERT_EQ(sheds.size(), 1u);
+  EXPECT_EQ(sheds[0].arg, map.retired_bytes());
+  server.stop();
+}
+
 // Striped op stats are exact once the counting threads join: every
 // update that returned true committed exactly once, and every commit
 // took at least one attempt.
@@ -249,7 +310,7 @@ TEST(Adapters, ShardedMapCollectorEmitsFamilies) {
   EXPECT_NE(text.find("pnb_engine_commits_total"), std::string::npos);
   EXPECT_NE(text.find("pnb_lifecycle_current_generation"),
             std::string::npos);
-  EXPECT_NE(text.find("pnb_admission_admitted_total"), std::string::npos);
+  EXPECT_NE(text.find("pnb_lifecycle_retired_bytes"), std::string::npos);
   // The shard sizes must sum to the map size, and the imbalance gauge is
   // max/mean of the same walk: keys 0..99 under an equal-width split of
   // [0, 1024) all land on shard 0 -> 100 / (100/4) = 4.0.

@@ -161,8 +161,8 @@ TEST_F(ServerE2E, RangePairCapBoundsResponses) {
   EXPECT_EQ(rr.pairs.size(), 10u);
 }
 
-// The server counters and the map's admission and lifecycle gauges: the
-// sources the /metrics collectors read.
+// The server counters and the map's lifecycle gauge: the sources the
+// /metrics collectors read.
 TEST_F(ServerE2E, StatsReportServerAndMapGauges) {
   start();
   Client c = connect();
@@ -175,8 +175,6 @@ TEST_F(ServerE2E, StatsReportServerAndMapGauges) {
   EXPECT_GE(ss.conns_accepted, 1u);
   EXPECT_GE(ss.conns_open, 1u);
   EXPECT_EQ(ss.batch_ops_applied, 1u);
-  EXPECT_EQ(map_.admission_stats().admitted, 1u);
-  EXPECT_EQ(map_.admission_stats().deferred, 0u);
   EXPECT_EQ(ss.shed_responses, 0u);
   EXPECT_EQ(ss.range_queries, 1u);
   EXPECT_EQ(map_.retired_bytes(), 0u);
@@ -199,7 +197,7 @@ TEST_F(ServerE2E, StatsReportPerOpcodeRequestCounters) {
   EXPECT_EQ(ss.req_batch, 1u);
   EXPECT_EQ(ss.req_range, 1u);
   EXPECT_EQ(ss.req_metrics, 0u);
-  EXPECT_EQ(map_.admission_stats().shed(), 0u);
+  EXPECT_EQ(ss.shed_responses, 0u);
   // The METRICS request is counted before its reply is built.
   ASSERT_EQ(c.metrics().status, Status::kOk);
   ss = server_->stats();
@@ -215,11 +213,11 @@ TEST_F(ServerE2E, MetricsOpcodeServesPrometheusText) {
   const auto mr = c.metrics();
   ASSERT_EQ(mr.status, Status::kOk);
   ASSERT_FALSE(mr.text.empty());
-  // All six gauge families are present (acceptance criterion), carrying
+  // Every gauge family is present, including the shed counter, carrying
   // this server's port label.
   for (const char* family :
-       {"pnb_engine_", "pnb_arena_", "pnb_lifecycle_", "pnb_admission_",
-        "pnb_shard_", "pnb_server_"}) {
+       {"pnb_engine_", "pnb_arena_", "pnb_lifecycle_", "pnb_shard_",
+        "pnb_server_", "pnb_server_shed_responses_total"}) {
     EXPECT_NE(mr.text.find(family), std::string::npos) << family;
   }
   char port_label[32];
@@ -265,8 +263,8 @@ TEST_F(ServerE2E, HttpMetricsListenerServesScrape) {
   EXPECT_NE(page.find("HTTP/1.1 200 OK"), std::string::npos);
   EXPECT_NE(page.find("text/plain; version=0.0.4"), std::string::npos);
   for (const char* family :
-       {"pnb_engine_", "pnb_arena_", "pnb_lifecycle_", "pnb_admission_",
-        "pnb_shard_", "pnb_server_"}) {
+       {"pnb_engine_", "pnb_arena_", "pnb_lifecycle_", "pnb_shard_",
+        "pnb_server_", "pnb_server_shed_responses_total"}) {
     EXPECT_NE(page.find(family), std::string::npos) << family;
   }
   // The scrape itself is counted.
@@ -418,28 +416,37 @@ TEST_F(ServerE2E, ShedsBatchesWithRetryWhileReadsKeepFlowing) {
   // models (PR-5 lifecycle).
   auto snap = map_.snapshot();
   map_.reshard(RangeSplitter<std::int64_t>{0, kKeySpace * 2});
-  ASSERT_GT(map_.retired_bytes(), 1u);
+  const std::size_t debt = map_.retired_bytes();
+  ASSERT_GT(debt, 1u);
 
   // BATCH now sheds: protocol-level kRetry carrying the deferred count,
-  // map untouched.
+  // map and retired-generation debt untouched.
   auto br = c.batch({BatchEntry::insert(5000, 1), BatchEntry::insert(5001, 1)});
   EXPECT_EQ(br.status, Status::kRetry);
   EXPECT_EQ(br.deferred, 2u);
   EXPECT_EQ(c.get(5000).status, Status::kNotFound);
+  EXPECT_EQ(map_.retired_bytes(), debt);
+
+  // The deferred count is the wire op count, before keep-last dedup: a
+  // shed batch is never normalized.
+  br = c.batch({BatchEntry::insert(5000, 1), BatchEntry::insert(5000, 2),
+                BatchEntry::erase(5001)});
+  EXPECT_EQ(br.status, Status::kRetry);
+  EXPECT_EQ(br.deferred, 3u);
+  EXPECT_EQ(c.get(5000).status, Status::kNotFound);
+  EXPECT_EQ(map_.retired_bytes(), debt);
 
   // Point ops never shed — same connection, same loops, still served.
   EXPECT_EQ(c.get(100).value, 100);
   EXPECT_EQ(c.put(6000, 6).status, Status::kOk);
   EXPECT_EQ(c.get(6000).value, 6);
 
-  // The shed shows up on both gauge surfaces the /metrics collectors
-  // read: server stats and the map's admission counters (satellite:
-  // admission outcome gauges).
-  EXPECT_GE(server_->stats().shed_responses, 1u);
-  EXPECT_EQ(map_.admission_stats().deferred, 1u);
-  EXPECT_EQ(map_.admission_stats().shed(), 1u);
+  // Each shed is counted once in the server stats the
+  // pnb_server_shed_responses_total family reads.
+  EXPECT_EQ(server_->stats().shed_responses, 2u);
+  EXPECT_EQ(server_->stats().batch_ops_applied, 200u);
 
-  // Reclamation (the snapshot drops) reopens admission; the retry the
+  // Reclamation (the snapshot drops) ends shedding; the retry the
   // protocol asked for now succeeds.
   { auto drop = std::move(snap); }
   ASSERT_EQ(map_.retired_bytes(), 0u);
@@ -447,12 +454,48 @@ TEST_F(ServerE2E, ShedsBatchesWithRetryWhileReadsKeepFlowing) {
   EXPECT_EQ(br.status, Status::kOk);
   EXPECT_EQ(br.inserted, 2u);
   EXPECT_EQ(c.get(5000).status, Status::kOk);
+  EXPECT_EQ(server_->stats().shed_responses, 2u);
+}
+
+// Validation runs ahead of shedding: a malformed BATCH sent while the
+// watermark is tripped is still a kBadRequest that closes the
+// connection, not a kRetry inviting the client to resend it.
+TEST_F(ServerE2E, MalformedBatchOverWatermarkAnswersBadRequest) {
+  ServerConfig cfg;
+  cfg.shed_watermark = 1;
+  start(cfg);
+  map_.insert(1, 1);
+  auto snap = map_.snapshot();
+  map_.reshard(RangeSplitter<std::int64_t>{0, kKeySpace * 2});
+  ASSERT_GT(map_.retired_bytes(), 1u);
+
+  // One entry with kind 2 (neither insert nor erase).
+  std::vector<std::uint8_t> body;
+  WireWriter w(body);
+  w.u8(static_cast<std::uint8_t>(Opcode::kBatch));
+  w.u32(1);
+  w.u8(2);
+  w.i64(7);
+  w.i64(7);
+  std::vector<std::uint8_t> wire;
+  append_frame(wire, body);
+  Client c = connect();
+  ASSERT_TRUE(c.send_bytes(wire.data(), wire.size()));
+
+  std::vector<std::uint8_t> resp;
+  ASSERT_TRUE(c.recv_frame(resp));
+  ASSERT_EQ(resp.size(), 1u);
+  EXPECT_EQ(resp[0], static_cast<std::uint8_t>(Status::kBadRequest));
+  EXPECT_FALSE(c.recv_frame(resp));
+  EXPECT_EQ(server_->stats().bad_frames, 1u);
+  EXPECT_EQ(server_->stats().shed_responses, 0u);
+  EXPECT_FALSE(map_.contains(7));
 }
 
 TEST_F(ServerE2E, ShedStormNeverStallsTheEventLoops) {
   // The acceptance-criteria stress: sustained BATCH pressure while the
   // watermark is tripped. Every batch must bounce QUICKLY with kRetry
-  // (the loops would deadlock or time out here if admission blocked),
+  // (the loops would deadlock or time out here if shedding blocked),
   // and interleaved point reads on separate connections must keep
   // being served throughout the storm.
   ServerConfig cfg;
@@ -525,9 +568,7 @@ TEST_F(ServerE2E, ShedStormNeverStallsTheEventLoops) {
   EXPECT_GT(reads_ok.load(), 0);
   // Nothing leaked into the map, and the gauges agree with the storm.
   EXPECT_FALSE(map_.contains(10000));
-  EXPECT_EQ(map_.admission_stats().deferred,
-            static_cast<std::uint64_t>(kWriters * kBatchesPerWriter));
-  EXPECT_GE(server_->stats().shed_responses,
+  EXPECT_EQ(server_->stats().shed_responses,
             static_cast<std::uint64_t>(kWriters * kBatchesPerWriter));
 }
 

@@ -21,7 +21,8 @@ to a family declared by a preceding # HELP + # TYPE pair, TYPE values
 are known, (name, labels) pairs are unique, values parse as floats, and
 quantile'd summary samples are ordered. --require-family fails unless a
 sample with the given prefix is present (repeatable; defaults to the
-six families the server registers). --diff A B compares two saved pages
+five family prefixes the server registers plus its
+pnb_server_shed_responses_total counter). --diff A B compares two saved pages
 by sample NAMES (values are expected to drift between scrapes).
 
 Exit status: 0 valid, 1 validation/scrape failure, 2 usage error.
@@ -40,9 +41,9 @@ DEFAULT_FAMILIES = [
     "pnb_engine_",
     "pnb_arena_",
     "pnb_lifecycle_",
-    "pnb_admission_",
     "pnb_shard_",
     "pnb_server_",
+    "pnb_server_shed_responses_total",
 ]
 
 SAMPLE_RE = re.compile(
@@ -259,7 +260,7 @@ def main():
                     help="validate exposition-format shape")
     ap.add_argument("--require-family", action="append", default=[],
                     help="fail unless a sample with this prefix exists "
-                         "(repeatable; default: the six pnb_* families)")
+                         "(repeatable; default: the server's pnb_* families)")
     ap.add_argument("--diff", nargs=2, metavar=("A", "B"),
                     help="compare two saved pages by sample names")
     ap.add_argument("--out", help="write the scraped page to this file")
