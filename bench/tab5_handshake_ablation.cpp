@@ -3,9 +3,11 @@
 // helping traffic. Uses CountingOpStats on PNB-BST.
 //
 // Paper mechanism exercised: every scan bumps the phase counter; an update
-// attempt whose counter changed between its read and its first freeze CAS
-// aborts itself (Help, lines 111–112). More scans => more aborted attempts
-// and more attempts per committed update, degrading gracefully.
+// attempt whose counter changed between its commit-phase read (taken after
+// its search result validated, DESIGN.md §2) and the handshake check in
+// Help aborts itself (lines 111–112). More scans => more aborted attempts
+// and more attempts per committed update, degrading gracefully. A scan
+// that opens during the search itself no longer costs an attempt.
 #include <cstdio>
 
 #include "bench_common.h"

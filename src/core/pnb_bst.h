@@ -10,9 +10,13 @@
 // created it and the node it replaced (`prev`). A global phase counter is
 // bumped by every scan; an operation with sequence number s traverses the
 // version-s tree T_s by skipping — via prev chains — nodes created by later
-// phases. The handshaking check inside Help() aborts any update attempt
-// that straddled a phase boundary, so a scan with sequence number s sees
-// exactly the updates linearized in phases <= s.
+// phases. An update searches at the phase it reads first, then reads the
+// counter again once its search result has validated and its replacement
+// nodes are built, and commits at that second phase: the new nodes and
+// the Info carry it. The handshaking check inside Help() aborts an attempt
+// whose commit phase moved before the decision, so a scan with sequence
+// number s sees exactly the updates linearized in phases <= s. Fig. 5
+// reads the counter once, before Search; DESIGN.md §2 argues the split.
 //
 // Template parameters:
 //   Key      — copyable, totally ordered by Compare.
@@ -132,6 +136,8 @@ class PnbBst {
     auto guard = reclaimer_->pin();
     for (;;) {
       stats_.inc_attempts();
+      // Search phase: the version the search walks (Fig. 5 reads Counter
+      // here and also commits at it; we commit at a later read, below).
       const std::uint64_t seq = counter_.load(std::memory_order_seq_cst);
       const SearchResult sr = search(k, seq);
       const LeafCheck chk = validate_leaf(sr.gp, sr.p, sr.l, k);
@@ -154,9 +160,14 @@ class PnbBst {
                                        : static_cast<Node*>(new_leaf),
                                 std::memory_order_relaxed);
 
+      // Commit phase: read after validation and allocation, so a scan that
+      // opens during the search does not abort this attempt (DESIGN.md §2).
+      const std::uint64_t phase = counter_.load(std::memory_order_seq_cst);
+      new_leaf->seq = new_sibling->seq = new_internal->seq = phase;
+
       Node* nodes[2] = {sr.p, sr.l};
       Update old_up[2] = {chk.pup, sr.l->load_update()};
-      switch (execute(nodes, old_up, 2, sr.p, sr.l, new_internal, seq,
+      switch (execute(nodes, old_up, 2, sr.p, sr.l, new_internal, phase,
                       /*from_delete=*/false)) {
         case ExecResult::kSuccess:
           stats_.inc_commits();
@@ -192,6 +203,7 @@ class PnbBst {
     auto guard = reclaimer_->pin();
     for (;;) {
       stats_.inc_attempts();
+      // Search phase, as in insert(); the commit phase is read below.
       const std::uint64_t seq = counter_.load(std::memory_order_seq_cst);
       const SearchResult sr = search(k, seq);
       const LeafCheck chk = validate_leaf(sr.gp, sr.p, sr.l, k);
@@ -210,7 +222,8 @@ class PnbBst {
         continue;
       }
 
-      // newNode := copy of sibling with seq := seq, prev := p (line 185).
+      // newNode := copy of sibling with prev := p (line 185); its seq is
+      // stamped with the commit phase once the copy has validated.
       Node* new_node = nullptr;
       Update supdate{};
       bool validated = true;
@@ -241,9 +254,13 @@ class PnbBst {
         continue;
       }
 
+      // Commit phase, read after validation and allocation as in insert().
+      const std::uint64_t phase = counter_.load(std::memory_order_seq_cst);
+      new_node->seq = phase;
+
       Node* nodes[4] = {sr.gp, sr.p, sr.l, sibling};
       Update old_up[4] = {chk.gpup, chk.pup, sr.l->load_update(), supdate};
-      switch (execute(nodes, old_up, 4, sr.gp, sr.p, new_node, seq,
+      switch (execute(nodes, old_up, 4, sr.gp, sr.p, new_node, phase,
                       /*from_delete=*/true)) {
         case ExecResult::kSuccess:
           stats_.inc_commits();

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -13,6 +15,22 @@ namespace pnbbst {
 namespace {
 
 using Tree = PnbBst<long>;
+
+// Orders longs like std::less, but first runs (and disarms) `hook` if one
+// is armed: the hook fires inside the next key comparison, i.e. in the
+// middle of the next operation's search.
+struct HookLess {
+  static inline std::function<void()> hook;
+  bool operator()(long a, long b) const {
+    if (hook) {
+      auto h = std::move(hook);
+      hook = nullptr;
+      h();
+    }
+    return a < b;
+  }
+};
+using HookTree = PnbBst<long, HookLess, EpochReclaimer, CountingOpStats>;
 
 TEST(PhaseSemantics, UpdatesDoNotAdvancePhases) {
   Tree t;
@@ -125,6 +143,34 @@ TEST(PhaseSemantics, ScanSizesSandwichedUnderMonotoneGrowth) {
     ASSERT_LE(n, static_cast<std::size_t>(hi) + 1);
   }
   writer.join();
+}
+
+// Deterministic form of the starvation the churn test above exposes: a scan
+// that opens while an update is mid-search must not cost that update an
+// attempt. The update commits at the phase it reads after validating, so a
+// snapshot taken mid-search predates it and a later snapshot sees it.
+void expect_scan_mid_search_costs_nothing(bool insert_not_erase) {
+  HookTree t;
+  for (long k = 0; k < 128; k += 2) t.insert(k);  // 64 even keys
+  const long key = insert_not_erase ? 51 : 50;
+  std::optional<HookTree::Snapshot> mid;
+  const OpStatsSnapshot before = t.stats().snapshot();
+  HookLess::hook = [&] { mid.emplace(t.snapshot()); };
+  ASSERT_TRUE(insert_not_erase ? t.insert(key) : t.erase(key));
+  ASSERT_TRUE(mid.has_value()) << "the hook never ran";
+  const OpStatsSnapshot after = t.stats().snapshot();
+  EXPECT_EQ(after.attempts - before.attempts, 1u);
+  EXPECT_EQ(after.handshake_aborts - before.handshake_aborts, 0u);
+  EXPECT_EQ(mid->contains(key), !insert_not_erase);
+  EXPECT_EQ(t.snapshot().contains(key), insert_not_erase);
+}
+
+TEST(PhaseSemantics, ScanOpenedMidSearchDoesNotAbortInsert) {
+  expect_scan_mid_search_costs_nothing(/*insert_not_erase=*/true);
+}
+
+TEST(PhaseSemantics, ScanOpenedMidSearchDoesNotAbortErase) {
+  expect_scan_mid_search_costs_nothing(/*insert_not_erase=*/false);
 }
 
 }  // namespace
